@@ -14,7 +14,7 @@ talks to data planes only through (possibly adversarial) control channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.auth_dataplane import FLAG_ENCRYPTED, P4AuthDataplane
@@ -33,12 +33,10 @@ from repro.core.messages import (
     build_reg_read_request,
     build_reg_write_request,
 )
+from repro.core.requests import Op, RequestCore, RequestStack
 from repro.crypto.prng import XorShiftPrng
 from repro.dataplane.packet import Packet
 from repro.net.network import Network
-from repro.telemetry import RCT_BUCKETS
-
-ResponseCallback = Callable[[bool, int], None]
 
 #: Buckets for the signed-burst size histogram (requests per sign call).
 SIGN_BATCH_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -65,20 +63,7 @@ class TamperRecord:
 
 
 @dataclass
-class RctSample:
-    """One completed request's timing, for Fig 18/19."""
-
-    kind: str  # "read" | "write"
-    switch: str
-    rct_s: float
-    ok: bool
-
-
-@dataclass
 class ControllerStats:
-    requests_sent: int = 0
-    acks_received: int = 0
-    nacks_received: int = 0
     tampered_responses: int = 0
     alerts_received: int = 0
     unsolicited_responses: int = 0
@@ -86,28 +71,9 @@ class ControllerStats:
     #: that someone is injecting forged messages at the data plane.
     unsolicited_nacks: int = 0
     dos_suspected: bool = False
-    #: Requests re-issued after a response timeout (bounded-retry mode).
-    request_retries: int = 0
-    #: Requests that exhausted ``max_request_attempts`` and surfaced a
-    #: terminal ``callback(False, 0)`` instead of hanging forever.
-    requests_abandoned: int = 0
-    rct_samples: List[RctSample] = field(default_factory=list)
 
 
-@dataclass
-class _Pending:
-    kind: str
-    switch: str
-    reg_name: str
-    sent_at: float
-    callback: Optional[ResponseCallback]
-    index: int = 0
-    value: int = 0
-    attempt: int = 1
-    timeout_handle: Optional[object] = None
-
-
-class P4AuthController:
+class P4AuthController(RequestStack):
     """The logically centralized controller of the P4Auth deployment."""
 
     def __init__(self, network: Network, algorithm: str = "halfsiphash",
@@ -131,37 +97,18 @@ class P4AuthController:
         self.alerts: List[AlertRecord] = []
         self.tamper_events: List[TamperRecord] = []
         self.outstanding_threshold = outstanding_threshold
-        #: Opt-in bounded retries: when set, a request unanswered after
-        #: this long is re-issued (fresh seq) up to ``max_request_attempts``
-        #: times, then abandoned with a terminal ``callback(False, 0)``.
-        #: ``None`` (the default) keeps the fire-and-wait behaviour that
-        #: the DoS heuristics (``unacknowledged_seqs``) are tuned for.
-        self.request_timeout_s = request_timeout_s
-        self.max_request_attempts = max_request_attempts
         #: Encrypt register-op values end to end (the §XI extension);
         #: the matching switches must set P4AuthConfig.encrypt_regops.
         self.encrypt_regops = encrypt_regops
         self.on_tamper: List[Callable[[TamperRecord], None]] = []
         self.on_alert: List[Callable[[AlertRecord], None]] = []
-        #: Optional observer ``seq_listener(switch, seq)`` fired inside
-        #: :meth:`next_seq` *before* the number is handed to the caller
-        #: — the durability layer journals sequence-horizon reservations
-        #: here so a crash can never reuse a sequence number (the
-        #: skip-ahead rule; see repro.store).
-        self.seq_listener: Optional[Callable[[str, int], None]] = None
-        #: Set by :meth:`halt` — a crashed process composes and sends
-        #: nothing more, even if in-flight Python frames keep running.
-        self.halted = False
-        self._seq: Dict[str, int] = {}
-        self._pending: Dict[Tuple[str, int], _Pending] = {}
-        # Per-switch departure horizon for composed requests.  Compose
-        # costs differ by kind (a read is ~6x cheaper to compose than a
-        # write), so with overlapping composes a later-seq read would
-        # depart before an earlier-seq write, the data plane's monotonic
-        # expected_seq would jump past the write, and the write would be
-        # rejected as a replay.  The compose pipeline is FIFO per
-        # switch: a request never departs before one composed earlier.
-        self._depart_horizon: Dict[str, float] = {}
+        #: The request lifecycle.  ``request_timeout_s`` opts into
+        #: bounded retries; ``None`` keeps the fire-and-wait behaviour
+        #: that the DoS heuristics (``unacknowledged_seqs``) are tuned for.
+        self.requests = RequestCore(
+            self.sim, self.telemetry, "P4Auth", compose=self._compose,
+            depart=network.send_packet_out, seal=self._sign,
+            timeout_s=request_timeout_s, max_attempts=max_request_attempts)
         self._reg_ids: Dict[str, Dict[str, int]] = {}
         # Session-key fast path: ``derive_session_keys`` is a pure
         # function of the master key, so one derivation per live
@@ -191,7 +138,7 @@ class P4AuthController:
             reg_name: reg_id
             for reg_id, reg_name in dataplane.switch.registers.id_map().items()
         }
-        self._seq.setdefault(name, 1)
+        self.requests.seqs.setdefault(name, 1)
         self.dataplanes[name] = dataplane
         self.kmp.observe_dataplane(dataplane)
 
@@ -216,35 +163,15 @@ class P4AuthController:
                 "(is it provisioned?)"
             ) from None
 
-    def next_seq(self, switch: str) -> int:
-        seq = self._seq[switch]
-        if self.seq_listener is not None:
-            self.seq_listener(switch, seq)
-        self._seq[switch] = (seq + 1) & 0xFFFFFFFF
-        return seq
-
-    def restore_seq(self, switch: str, next_seq: int) -> None:
-        """Warm-restart entry point: resume issuing at ``next_seq``.
-
-        Recovery sets this to the last *journaled horizon* — at or past
-        any number the dead controller could have used — so the data
-        plane's monotonic ``expected_seq`` defense never sees a reuse.
-        """
-        self._seq[switch] = next_seq & 0xFFFFFFFF
-
     def halt(self) -> None:
         """Kill this controller instance (crash modeling).
 
-        Cancels every pending-request timeout (a dead process has no
+        Cancels every pending-request deadline (a dead process has no
         timers), forgets in-flight state, and detaches from the network
         so late responses drop instead of reaching a ghost.  The object
         must not be used afterwards — recovery builds a fresh one.
         """
-        self.halted = True
-        for pending in self._pending.values():
-            if pending.timeout_handle is not None:
-                pending.timeout_handle.cancel()
-        self._pending.clear()
+        self.requests.halt()
         self._session_cache.clear()
         if self.network.controller is self:
             self.network.controller = None
@@ -265,52 +192,7 @@ class P4AuthController:
     # authenticated register operations (Fig 8)
     # ------------------------------------------------------------------
 
-    def read_register(self, switch: str, reg_name: str, index: int,
-                      callback: Optional[ResponseCallback] = None,
-                      _attempt: int = 1) -> int:
-        """Issue an authenticated ``readReq``; returns its seq number.
-
-        ``callback(ok, value)`` fires when the (verified) response
-        arrives.  A tampered response never reaches the callback — it is
-        recorded as a :class:`TamperRecord` instead.
-        """
-        seq = self.next_seq(switch)
-        request = build_reg_read_request(
-            self.register_id(switch, reg_name), index, seq,
-            key_ver=self.keys.local_key_version(switch),
-        )
-        if self.encrypt_regops:
-            request.get(P4AUTH)["flags"] = FLAG_ENCRYPTED
-        self._dispatch_request("read", switch, reg_name, seq, request,
-                               callback, self.costs.compose_read_s,
-                               index=index, value=0, attempt=_attempt)
-        return seq
-
-    def write_register(self, switch: str, reg_name: str, index: int,
-                       value: int,
-                       callback: Optional[ResponseCallback] = None,
-                       _attempt: int = 1) -> int:
-        """Issue an authenticated ``writeReq``; returns its seq number."""
-        seq = self.next_seq(switch)
-        key_ver = self.keys.local_key_version(switch)
-        plain_value = value
-        if self.encrypt_regops:
-            session = self._session_keys(switch, key_ver)
-            value = encrypt_value(session, seq, value)
-        request = build_reg_write_request(
-            self.register_id(switch, reg_name), index, value, seq,
-            key_ver=key_ver,
-        )
-        if self.encrypt_regops:
-            request.get(P4AUTH)["flags"] = FLAG_ENCRYPTED
-        self._dispatch_request("write", switch, reg_name, seq, request,
-                               callback, self.costs.compose_write_s,
-                               index=index, value=plain_value,
-                               attempt=_attempt)
-        return seq
-
-    def request_many(self, switch: str, ops: Sequence[Tuple],
-                     ) -> List[int]:
+    def request_many(self, switch: str, ops: Sequence[Op]) -> List[int]:
         """Compose, sign, and dispatch a burst of requests to one switch.
 
         ``ops`` is a sequence of ``(kind, reg_name, index, value,
@@ -323,126 +205,48 @@ class P4AuthController:
         the engine take the vectorized lane for large bursts.  Returns
         the assigned sequence numbers in op order.
         """
-        key = self.keys.local_key(switch)
-        composed: List[Tuple] = []
-        for kind, reg_name, index, value, callback in ops:
-            seq = self.next_seq(switch)
-            key_ver = self.keys.local_key_version(switch)
-            if kind == "read":
-                request = build_reg_read_request(
-                    self.register_id(switch, reg_name), index, seq,
-                    key_ver=key_ver)
-                compose_cost = self.costs.compose_read_s
-                plain_value = 0
-            elif kind == "write":
-                plain_value = value
-                if self.encrypt_regops:
-                    session = self._session_keys(switch, key_ver)
-                    value = encrypt_value(session, seq, value)
-                request = build_reg_write_request(
-                    self.register_id(switch, reg_name), index, value, seq,
-                    key_ver=key_ver)
-                compose_cost = self.costs.compose_write_s
-            else:
-                raise ValueError(f"unknown request kind {kind!r}")
-            if self.encrypt_regops:
-                request.get(P4AUTH)["flags"] = FLAG_ENCRYPTED
-            composed.append((kind, reg_name, seq, request, callback,
-                             compose_cost, index, plain_value))
-        self.digest.sign_many(key, [entry[3] for entry in composed])
-        if self.telemetry.enabled and composed:
-            self.telemetry.metrics.counter(
-                "controller_sign_batches_total",
-                lane=self.digest.lane_for(len(composed))).inc()
-            self.telemetry.metrics.histogram(
-                "controller_sign_batch_size",
-                buckets=SIGN_BATCH_BUCKETS).observe(len(composed))
-        for (kind, reg_name, seq, request, callback, compose_cost,
-             index, plain_value) in composed:
-            self._finalize_request(kind, switch, reg_name, seq, request,
-                                   callback, compose_cost, index=index,
-                                   value=plain_value, attempt=1)
-        return [entry[2] for entry in composed]
+        return self._issue(switch, ops)
 
-    def _dispatch_request(self, kind: str, switch: str, reg_name: str,
-                          seq: int, request: Packet,
-                          callback: Optional[ResponseCallback],
-                          compose_cost: float, index: int = 0,
-                          value: int = 0, attempt: int = 1) -> None:
-        self.digest.sign(self.keys.local_key(switch), request)
-        self._finalize_request(kind, switch, reg_name, seq, request,
-                               callback, compose_cost, index=index,
-                               value=value, attempt=attempt)
-
-    def _finalize_request(self, kind: str, switch: str, reg_name: str,
-                          seq: int, request: Packet,
-                          callback: Optional[ResponseCallback],
-                          compose_cost: float, index: int = 0,
-                          value: int = 0, attempt: int = 1) -> None:
-        if self.halted:
-            # A dead process's frame may still be mid-burst when the
-            # kill lands: the request was composed but never reached
-            # the NIC.  Dropping it here (no pending entry, no
-            # departure) is the crash semantics recovery is built for.
-            return
-        pending = _Pending(
-            kind, switch, reg_name, self.sim.now, callback,
-            index=index, value=value, attempt=attempt,
-        )
-        self._pending[(switch, seq)] = pending
-        self.stats.requests_sent += 1
-        if len(self._pending) > self.outstanding_threshold:
+    def _issue(self, switch: str, ops: Sequence[Op]) -> List[int]:
+        seqs = self.requests.issue(switch, ops)
+        if self.requests.outstanding_count() > self.outstanding_threshold:
             self.stats.dos_suspected = True
-        depart_at = max(
-            self.sim.now + compose_cost + self.costs.controller_digest_s,
-            self._depart_horizon.get(switch, 0.0),
-        )
-        self._depart_horizon[switch] = depart_at
-        self.sim.schedule_at(
-            depart_at, self.network.send_packet_out, switch, request,
-        )
-        if self.request_timeout_s is not None:
-            pending.timeout_handle = self.sim.schedule_cancellable(
-                depart_at - self.sim.now + self.request_timeout_s,
-                self._request_timed_out, switch, seq,
-            )
+        return seqs
 
-    def _request_timed_out(self, switch: str, seq: int) -> None:
-        pending = self._pending.pop((switch, seq), None)
-        if pending is None:
-            return  # answered in the meantime (handle raced cancellation)
-        if pending.attempt >= self.max_request_attempts:
-            self.stats.requests_abandoned += 1
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "controller_requests_abandoned_total",
-                    kind=pending.kind).inc()
-                self.telemetry.tracer.emit(
-                    "controller.request_abandoned", switch=switch,
-                    kind=pending.kind, reg=pending.reg_name, seq=seq,
-                    attempts=pending.attempt)
-            if pending.callback is not None:
-                pending.callback(False, 0)
+    def _compose(self, switch: str, kind: str, reg_name: str, index: int,
+                 value: int, seq: int) -> Tuple[Packet, float]:
+        """One authenticated ``readReq``/``writeReq`` (Fig 8), unsigned."""
+        key_ver = self.keys.local_key_version(switch)
+        reg_id = self.register_id(switch, reg_name)
+        if kind == "read":
+            request = build_reg_read_request(reg_id, index, seq,
+                                             key_ver=key_ver)
+            compose_cost = self.costs.compose_read_s
+        else:
+            if self.encrypt_regops:
+                session = self._session_keys(switch, key_ver)
+                value = encrypt_value(session, seq, value)
+            request = build_reg_write_request(reg_id, index, value, seq,
+                                              key_ver=key_ver)
+            compose_cost = self.costs.compose_write_s
+        if self.encrypt_regops:
+            request.get(P4AUTH)["flags"] = FLAG_ENCRYPTED
+        return request, (self.sim.now + compose_cost
+                         + self.costs.controller_digest_s)
+
+    def _sign(self, switch: str, requests: List[Packet]) -> None:
+        key = self.keys.local_key(switch)
+        if len(requests) == 1:
+            self.digest.sign(key, requests[0])
             return
-        self.stats.request_retries += 1
+        self.digest.sign_many(key, requests)
         if self.telemetry.enabled:
             self.telemetry.metrics.counter(
-                "controller_request_retries_total", kind=pending.kind).inc()
-        if pending.kind == "read":
-            self.read_register(switch, pending.reg_name, pending.index,
-                               pending.callback,
-                               _attempt=pending.attempt + 1)
-        else:
-            self.write_register(switch, pending.reg_name, pending.index,
-                                pending.value, pending.callback,
-                                _attempt=pending.attempt + 1)
-
-    def outstanding_count(self) -> int:
-        return len(self._pending)
-
-    def unacknowledged_seqs(self, switch: str) -> List[int]:
-        """Sequence numbers sent but not yet answered (§VIII DoS defense)."""
-        return sorted(seq for (name, seq) in self._pending if name == switch)
+                "controller_sign_batches_total",
+                lane=self.digest.lane_for(len(requests))).inc()
+            self.telemetry.metrics.histogram(
+                "controller_sign_batch_size",
+                buckets=SIGN_BATCH_BUCKETS).observe(len(requests))
 
     # ------------------------------------------------------------------
     # PacketIn handling
@@ -495,38 +299,20 @@ class P4AuthController:
                                "register response digest mismatch")
             return
         seq = hdr["seqNum"]
-        pending = self._pending.pop((switch, seq), None)
-        if pending is not None and pending.timeout_handle is not None:
-            pending.timeout_handle.cancel()
-        if pending is None:
+        ok = hdr["msgType"] == RegOpType.ACK
+        value = packet.get(REG_OP)["value"]
+        if hdr["flags"] & FLAG_ENCRYPTED:
+            session = self._session_keys(switch, hdr["keyVer"])
+            value = encrypt_value(session, seq, value, response=True)
+        # Response verification costs one controller-side digest.
+        if not self.requests.resolve(switch, seq, ok, value,
+                                     after_s=self.costs.controller_digest_s):
             # An authenticated duplicate (replayed response) or a response
             # to a request we gave up on — or, for nAcks, fallout from an
             # adversary injecting forged requests at the data plane.
             self.stats.unsolicited_responses += 1
             if hdr["msgType"] == RegOpType.NACK:
                 self.stats.unsolicited_nacks += 1
-            return
-        ok = hdr["msgType"] == RegOpType.ACK
-        value = packet.get(REG_OP)["value"]
-        if hdr["flags"] & FLAG_ENCRYPTED:
-            session = self._session_keys(switch, hdr["keyVer"])
-            value = encrypt_value(session, seq, value, response=True)
-        if ok:
-            self.stats.acks_received += 1
-        else:
-            self.stats.nacks_received += 1
-        # Response verification costs one controller-side digest.
-        rct = (self.sim.now + self.costs.controller_digest_s) - pending.sent_at
-        self.stats.rct_samples.append(
-            RctSample(pending.kind, switch, rct, ok)
-        )
-        if self.telemetry.enabled:
-            self.telemetry.metrics.histogram(
-                "runtime_rct_seconds", buckets=RCT_BUCKETS,
-                stack="P4Auth", kind=pending.kind).observe(rct)
-        if pending.callback is not None:
-            self.sim.schedule(self.costs.controller_digest_s,
-                              pending.callback, ok, value)
 
     def _handle_alert(self, switch: str, packet: Packet, hdr) -> None:
         # Alerts are signed with the best key the DP had at the time

@@ -259,13 +259,13 @@ class CrashRestartScenario(ChaosScenario):
         report.check("register_holds_post_restart_value",
                      final_value == 0x3333, f"value={final_value:#x}")
         report.check("abandonment_counted",
-                     controller.stats.requests_abandoned == 1,
-                     f"{controller.stats.requests_abandoned} abandoned")
+                     controller.requests.stats.abandoned == 1,
+                     f"{controller.requests.stats.abandoned} abandoned")
         report.check("within_event_budget", sim.budget_exhaustions == 0)
         report.metrics.update({
             "events_executed": sim.events_executed,
-            "request_retries": controller.stats.request_retries,
-            "requests_abandoned": controller.stats.requests_abandoned,
+            "request_retries": controller.requests.stats.retries,
+            "requests_abandoned": controller.requests.stats.abandoned,
             "rekey_time_s": rekeyed[0] if rekeyed else -1.0,
         })
         return report
@@ -452,7 +452,7 @@ class LossyFig17Scenario(ChaosScenario):
             "kmp_failures": len(kmp.stats.failures),
             "digest_fail_cdp": s4_stats.digest_fail_cdp,
             "replays_detected": s4_stats.replays_detected,
-            "requests_abandoned": controller.stats.requests_abandoned,
+            "requests_abandoned": controller.requests.stats.abandoned,
         })
         return report
 

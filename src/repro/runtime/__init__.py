@@ -10,6 +10,10 @@
 - The P4Auth variant is :class:`repro.core.P4AuthController` +
   :class:`repro.core.P4AuthDataplane` — DP-Reg-RW plus digests.
 
+All three are codecs over one request lifecycle
+(:class:`repro.core.requests.RequestCore`: seq issue, pending table,
+FIFO departure, deadline/retry/abandon, RCT histogram), and
+:func:`deploy_stack` is the one way to put any of them on a network.
 :mod:`repro.runtime.harness` drives any of them with the paper's
 sequential request workload and reports RCT and throughput.
 """
@@ -21,7 +25,7 @@ from repro.runtime.plain import (
 )
 from repro.runtime.p4runtime import P4RuntimeStack
 from repro.runtime.harness import RunStats, run_sequential
-from repro.runtime.comparison import STACKS, build_stack, measure
+from repro.runtime.comparison import STACKS, build_stack, deploy_stack, measure
 
 __all__ = [
     "CTL_HEADER",
@@ -32,5 +36,6 @@ __all__ = [
     "run_sequential",
     "STACKS",
     "build_stack",
+    "deploy_stack",
     "measure",
 ]

@@ -27,9 +27,11 @@ share no ordering constraint — that independence is where the throughput
 comes from.
 
 Lossy channels: the facade frees a window slot only when the wrapped
-stack decides an outcome.  Stacks in fire-and-wait mode (no
-``request_timeout_s``) never decide one for a lost message, so enable
-bounded retries on the stack when batching over a lossy channel.
+stack's request core (:mod:`repro.core.requests`) decides an outcome.
+In fire-and-wait mode (no ``request_timeout_s``) a lost or tampered
+response is never decided and its slot stays taken, so give the stack a
+deadline when batching over a lossy or hostile channel (the service
+always does).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ sequential read/write workload against it.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.auth_dataplane import P4AuthDataplane
 from repro.core.controller import P4AuthController
@@ -23,30 +23,68 @@ from repro.runtime.plain import PlainController, PlainRegOpDataplane
 STACKS = ("P4Runtime", "DP-Reg-RW", "P4Auth")
 
 
-def build_stack(name: str, costs=None, telemetry=None):
-    """A fresh deployment of one stack; returns (sim, stack)."""
+def deploy_stack(name: str, net: Network, switches: Sequence[str],
+                 registers: Sequence[str] = ("target",), *,
+                 k_seeds: Mapping[str, int],
+                 bootstrap_s: Optional[float] = None,
+                 request_timeout_s: Optional[float] = None,
+                 **p4auth_kwargs) -> Tuple[object, Dict[str, object]]:
+    """Deploy one register-access stack over switches already on ``net``.
+
+    Installs each stack's data-plane half (none for P4Runtime), maps
+    ``registers`` (declared on the switches by the caller), and
+    provisions the controller.  P4Auth switches take their ``K_seed``
+    from ``k_seeds`` and, with ``bootstrap_s``, run the local-key
+    bootstrap in parallel for that long in virtual time; any switch left
+    unkeyed raises.  ``p4auth_kwargs`` go to the P4Auth controller only.
+    Returns ``(stack, dataplanes)``.
+    """
     if name not in STACKS:
         raise ValueError(f"stack must be one of {STACKS}")
+    dataplanes: Dict[str, object] = {}
+    if name == "P4Runtime":
+        stack = P4RuntimeStack(net, request_timeout_s=request_timeout_s)
+        for switch in switches:
+            stack.provision(net.switch(switch))
+        return stack, dataplanes
+    if name == "DP-Reg-RW":
+        stack = PlainController(net, request_timeout_s=request_timeout_s)
+        for switch in switches:
+            dataplane = PlainRegOpDataplane(net.switch(switch)).install()
+            for reg_name in registers:
+                dataplane.map_register(reg_name)
+            stack.provision(net.switch(switch))
+            dataplanes[switch] = dataplane
+        return stack, dataplanes
+    stack = P4AuthController(net, request_timeout_s=request_timeout_s,
+                             **p4auth_kwargs)
+    for switch in switches:
+        dataplane = P4AuthDataplane(net.switch(switch),
+                                    k_seed=k_seeds[switch]).install()
+        for reg_name in registers:
+            dataplane.map_register(reg_name)
+        stack.provision(dataplane)
+        dataplanes[switch] = dataplane
+    if bootstrap_s is not None:
+        done: List[object] = []
+        for switch in switches:
+            stack.kmp.local_key_init(switch, on_done=done.append)
+        net.sim.run(until=net.sim.now + bootstrap_s)
+        if len(done) != len(switches):
+            raise RuntimeError(
+                f"key bootstrap incomplete: {len(done)}/{len(switches)}")
+    return stack, dataplanes
+
+
+def build_stack(name: str, costs=None, telemetry=None):
+    """A fresh single-switch deployment of one stack; returns (sim, stack)."""
     sim = EventSimulator(telemetry=telemetry)
     net = Network(sim, costs)
     switch = DataplaneSwitch("s1", num_ports=2)
     net.add_switch(switch)
     switch.registers.define("target", 64, 16)
-    if name == "P4Runtime":
-        stack = P4RuntimeStack(net)
-        stack.provision(switch)
-    elif name == "DP-Reg-RW":
-        dataplane = PlainRegOpDataplane(switch).install()
-        dataplane.map_register("target")
-        stack = PlainController(net)
-        stack.provision(switch)
-    else:
-        dataplane = P4AuthDataplane(switch, k_seed=0x42).install()
-        dataplane.map_register("target")
-        stack = P4AuthController(net)
-        stack.provision(dataplane)
-        stack.kmp.local_key_init("s1")
-        sim.run(until=0.1)
+    stack, _dataplanes = deploy_stack(name, net, ["s1"],
+                                      k_seeds={"s1": 0x42}, bootstrap_s=0.1)
     return sim, stack
 
 

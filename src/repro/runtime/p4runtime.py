@@ -18,18 +18,17 @@ same tap chain as PacketOut messages.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.constants import REG_OP, RegOpType
+from repro.core.requests import RequestCore, RequestStack
+from repro.dataplane.packet import Packet
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.network import Network
-from repro.runtime.plain import build_plain_request
-from repro.telemetry import RCT_BUCKETS
-
-ResponseCallback = Callable[[bool, int], None]
+from repro.runtime.plain import build_plain_request, compose_plain_request
 
 
-class P4RuntimeStack:
+class P4RuntimeStack(RequestStack):
     """Register access via the (modeled) P4Runtime API."""
 
     def __init__(self, network: Network,
@@ -38,109 +37,46 @@ class P4RuntimeStack:
         self.network = network
         self.sim = network.sim
         self.costs = network.costs
-        #: Opt-in bounded retries: ``None`` preserves the legacy behaviour
-        #: where an OS-level drop makes the request time out *silently*;
-        #: otherwise lost requests are re-issued after this delay up to
-        #: ``max_request_attempts`` times, then abandoned via
-        #: ``callback(False, 0)``.
-        self.request_timeout_s = request_timeout_s
-        self.max_request_attempts = max_request_attempts
-        self.request_retries = 0
-        self.requests_abandoned = 0
         self._switches: Dict[str, DataplaneSwitch] = {}
-        self._seq = 1
-        self._outstanding = 0
-        #: Per-switch monotonic arrival time: requests to one switch ride
-        #: one ordered gRPC stream, so a cheap-to-compose read issued after
-        #: a write must not reach the server first.
-        self._arrival_horizon: Dict[str, float] = {}
-        self.rct_samples = []  # (kind, rct_s, ok)
+        # A request "departs" when it reaches the P4Runtime server: the
+        # per-switch FIFO horizon is one ordered gRPC stream, so a
+        # cheap-to-compose read issued after a write never arrives first.
+        # A request or response the switch OS drops is simply never
+        # answered; the deadline (if any) retries it.
+        self.requests = RequestCore(
+            self.sim, network.telemetry, "P4Runtime", compose=self._compose,
+            depart=self._apply, timeout_s=request_timeout_s,
+            max_attempts=max_request_attempts)
 
     def provision(self, switch: DataplaneSwitch) -> None:
         self._switches[switch.name] = switch
+        self.requests.seqs.setdefault(switch.name, 1)
 
-    def outstanding_count(self) -> int:
-        """Requests issued whose outcome (completion, loss, abandonment)
-        has not yet been decided — the stack's true in-flight load."""
-        return self._outstanding
-
-    def read_register(self, switch: str, reg_name: str, index: int,
-                      callback: Optional[ResponseCallback] = None) -> int:
-        return self._issue("read", switch, reg_name, index, 0, callback,
-                           self.costs.compose_read_s)
-
-    def write_register(self, switch: str, reg_name: str, index: int,
-                       value: int,
-                       callback: Optional[ResponseCallback] = None) -> int:
-        return self._issue("write", switch, reg_name, index, value, callback,
-                           self.costs.compose_write_s)
-
-    def _issue(self, kind: str, switch: str, reg_name: str, index: int,
-               value: int, callback: Optional[ResponseCallback],
-               compose_cost: float, attempt: int = 1) -> int:
-        seq = self._seq
-        self._seq += 1
-        self._outstanding += 1
-        sent_at = self.sim.now
+    def _compose(self, switch: str, kind: str, reg_name: str, index: int,
+                 value: int, seq: int) -> Tuple[Packet, float]:
+        # The request parameters, framed so the compromised-OS tap chain
+        # can mangle them on the way through the SDK/driver.
+        surrogate, compose_cost = compose_plain_request(
+            self.costs, kind, self._switches[switch].registers.id_of(reg_name),
+            index, value, seq)
         # Compose + gRPC/P4Runtime server overhead, then one C-DP transit.
         request_delay = (compose_cost + self.costs.p4runtime_overhead_s
                          + self.network.jittered(self.costs.cdp_one_way_s))
-        apply_at = max(self.sim.now + request_delay,
-                       self._arrival_horizon.get(switch, 0.0))
-        self._arrival_horizon[switch] = apply_at
-        self.sim.schedule_at(apply_at, self._apply, kind, switch, reg_name,
-                             index, value, seq, sent_at, callback, attempt)
-        return seq
+        return surrogate, self.sim.now + request_delay
 
-    def _lost(self, kind: str, switch: str, reg_name: str, index: int,
-              value: int, seq: int, callback: Optional[ResponseCallback],
-              attempt: int) -> None:
-        """A request or response died inside the switch OS."""
-        self._outstanding -= 1
-        if self.request_timeout_s is None:
-            return  # legacy: times out silently
-        if attempt >= self.max_request_attempts:
-            self.requests_abandoned += 1
-            telemetry = self.network.telemetry
-            if telemetry.enabled:
-                telemetry.metrics.counter(
-                    "runtime_requests_abandoned_total",
-                    stack="P4Runtime", kind=kind).inc()
-                telemetry.tracer.emit(
-                    "runtime.request_abandoned", stack="P4Runtime",
-                    switch=switch, kind=kind, reg=reg_name, seq=seq,
-                    attempts=attempt)
-            if callback is not None:
-                self.sim.schedule(0.0, callback, False, 0)
-            return
-        self.request_retries += 1
-        compose_cost = (self.costs.compose_read_s if kind == "read"
-                        else self.costs.compose_write_s)
-        self.sim.schedule(self.request_timeout_s, self._issue, kind, switch,
-                          reg_name, index, value, callback, compose_cost,
-                          attempt + 1)
-
-    def _apply(self, kind: str, switch: str, reg_name: str, index: int,
-               value: int, seq: int, sent_at: float,
-               callback: Optional[ResponseCallback],
-               attempt: int = 1) -> None:
-        # The request parameters traverse the switch OS (SDK/driver), so
-        # the compromised-OS tap chain gets its chance to mangle them.
-        msg_type = RegOpType.READ_REQ if kind == "read" else RegOpType.WRITE_REQ
-        device = self._switches[switch]
-        reg_id = device.registers.id_of(reg_name)
-        surrogate = build_plain_request(msg_type, reg_id, index, value, seq)
+    def _apply(self, switch: str, surrogate: Packet) -> None:
+        ctl = surrogate.get("ctl")
+        seq, is_read = ctl["seqNum"], ctl["msgType"] == RegOpType.READ_REQ
         channel = self.network.control_channels[switch]
         survivor = channel.transit(surrogate, "c->dp")
         if survivor is None:
-            self._lost(kind, switch, reg_name, index, value, seq, callback,
-                       attempt)
             return
+        device = self._switches[switch]
         payload = survivor.get(REG_OP)
         register = device.registers.get(device.registers.name_of(
             payload["regId"]))
         ok = True
-        if kind == "read":
+        if is_read:
             result = register.read(payload["index"])
         else:
             try:
@@ -156,27 +92,11 @@ class P4RuntimeStack:
         )
         survivor_up = channel.transit(response, "dp->c")
         if survivor_up is None:
-            self._lost(kind, switch, reg_name, index, value, seq, callback,
-                       attempt)
             return
         response_delay = (self.costs.switch_fwd_s
                           + self.network.jittered(self.costs.cdp_one_way_s)
                           + self.costs.controller_proc_s)
-        self.sim.schedule(response_delay, self._complete, kind, survivor_up,
-                          sent_at, callback)
-
-    def _complete(self, kind: str, response, sent_at: float,
-                  callback: Optional[ResponseCallback]) -> None:
-        self._outstanding -= 1
-        ctl = response.get("ctl")
-        ok = ctl["msgType"] == RegOpType.ACK
-        value = response.get(REG_OP)["value"]
-        rct_s = self.sim.now - sent_at
-        self.rct_samples.append((kind, rct_s, ok))
-        telemetry = self.network.telemetry
-        if telemetry.enabled:
-            telemetry.metrics.histogram(
-                "runtime_rct_seconds", buckets=RCT_BUCKETS,
-                stack="P4Runtime", kind=kind).observe(rct_s)
-        if callback is not None:
-            callback(ok, value)
+        self.sim.schedule(
+            response_delay, self.requests.resolve, switch, seq,
+            survivor_up.get("ctl")["msgType"] == RegOpType.ACK,
+            survivor_up.get(REG_OP)["value"])

@@ -39,15 +39,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.auth_dataplane import P4AuthDataplane
-from repro.core.controller import P4AuthController
 from repro.dataplane.switch import DataplaneSwitch
 from repro.net.network import Network
 from repro.net.simulator import EventSimulator
 from repro.runtime.batch import BatchController
-from repro.runtime.comparison import STACKS
-from repro.runtime.p4runtime import P4RuntimeStack
-from repro.runtime.plain import PlainController, PlainRegOpDataplane
+from repro.runtime.comparison import deploy_stack
 from repro.store.recovery import (
     restore_dataplane,
     store_exists,
@@ -62,6 +58,11 @@ SERVICE_LATENCY_BUCKETS: Tuple[float, ...] = (
 
 #: Virtual-time window for the parallel key bootstrap at build time.
 BOOTSTRAP_DEADLINE_S = 10.0
+
+#: Every service request's deadline (virtual seconds after it departs):
+#: an unanswered request is retried, then abandoned, so one dropped or
+#: tampered response can never pin an issue-window slot forever.
+REQUEST_DEADLINE_S = 0.05
 
 OP_KINDS = ("read", "write", "rollover")
 
@@ -136,55 +137,32 @@ def build_shard_stack(stack_name: str, switches: Sequence[str], seed: int,
     key material into both the controller and the (hardware-stand-in)
     dataplanes instead of negotiating fresh keys.
     """
-    if stack_name not in STACKS:
-        raise ValueError(f"stack must be one of {STACKS}")
     sim = EventSimulator(telemetry=telemetry)
     net = Network(sim)
-    dataplanes: Dict[str, object] = {}
     for offset, name in enumerate(switches):
         switch = DataplaneSwitch(name, num_ports=2, seed=seed + offset)
         net.add_switch(switch)
         for reg_name, width, size in registers:
             switch.registers.define(reg_name, width, size)
-
-    if stack_name == "P4Runtime":
-        stack = P4RuntimeStack(net)
-        for name in switches:
-            stack.provision(net.switch(name))
-    elif stack_name == "DP-Reg-RW":
-        stack = PlainController(net)
-        for name in switches:
-            dataplane = PlainRegOpDataplane(net.switch(name)).install()
-            for reg_name, _w, _s in registers:
-                dataplane.map_register(reg_name)
-            stack.provision(net.switch(name))
-            dataplanes[name] = dataplane
-    else:
-        # The shard's issue window must stay far below the DoS
-        # heuristic's budget — tripping our own defense would be a
-        # self-inflicted outage.  Keep the default threshold and assert
-        # the window fits under it with room for KMP chatter.
-        stack = P4AuthController(net, seed=0xC0FFEE ^ seed)
-        if issue_window * 2 > stack.outstanding_threshold:
-            raise ValueError(
-                f"issue_window={issue_window} would crowd the "
-                f"outstanding-request DoS budget "
-                f"({stack.outstanding_threshold}); add shards instead")
-        done: List[object] = []
-        for offset, name in enumerate(switches):
-            dataplane = P4AuthDataplane(
-                net.switch(name), k_seed=0x1000 + seed + offset).install()
-            for reg_name, _w, _s in registers:
-                dataplane.map_register(reg_name)
-            stack.provision(dataplane)
-            dataplanes[name] = dataplane
-        if bootstrap:
-            for name in switches:
-                stack.kmp.local_key_init(name, on_done=done.append)
-            sim.run(until=sim.now + BOOTSTRAP_DEADLINE_S)
-            if len(done) != len(switches):
-                raise RuntimeError(
-                    f"key bootstrap incomplete: {len(done)}/{len(switches)}")
+    p4auth_kwargs = {"seed": 0xC0FFEE ^ seed} if stack_name == "P4Auth" \
+        else {}
+    stack, dataplanes = deploy_stack(
+        stack_name, net, switches,
+        [reg_name for reg_name, _w, _s in registers],
+        k_seeds={name: 0x1000 + seed + offset
+                 for offset, name in enumerate(switches)},
+        bootstrap_s=BOOTSTRAP_DEADLINE_S if bootstrap else None,
+        request_timeout_s=REQUEST_DEADLINE_S, **p4auth_kwargs)
+    # The shard's issue window must stay far below the DoS heuristic's
+    # budget — tripping our own defense would be a self-inflicted
+    # outage.  Keep the default threshold and check the window fits
+    # under it with room for KMP chatter.
+    if stack_name == "P4Auth" \
+            and issue_window * 2 > stack.outstanding_threshold:
+        raise ValueError(
+            f"issue_window={issue_window} would crowd the "
+            f"outstanding-request DoS budget "
+            f"({stack.outstanding_threshold}); add shards instead")
     return sim, net, stack, dataplanes
 
 
@@ -532,6 +510,7 @@ class ShardWorker:
 __all__ = [
     "BOOTSTRAP_DEADLINE_S",
     "OP_KINDS",
+    "REQUEST_DEADLINE_S",
     "SERVICE_LATENCY_BUCKETS",
     "ShardOp",
     "ShardOverload",

@@ -136,7 +136,7 @@ def run_scenario(mode: str, duration_s: float = 10.0,
     delivery = max(0.0, post_failure_delivered / post_failure_packets)
     poisoned = blink.active_nh.read(0) == 2 or blink.failovers > 1
     detected = (mode == "p4auth"
-                and (client.stats.nacks_received > 0
+                and (client.requests.stats.nacked > 0
                      or client.stats.tampered_responses > 0))
     return TableIScenarioResult(
         system="blink",

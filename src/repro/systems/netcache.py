@@ -160,7 +160,7 @@ def run_scenario(mode: str, queries: int = 4000,
     poisoned = any(key == 0xDEAD0000 for key in cache_now)
     detected = False
     if mode == "p4auth":
-        detected = client.stats.nacks_received > 0 or len(client.alerts) > 0
+        detected = client.requests.stats.nacked > 0 or len(client.alerts) > 0
     return TableIScenarioResult(
         system="netcache",
         mode=mode,

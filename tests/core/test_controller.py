@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.constants import AlertCode
+from repro.telemetry import Telemetry
 from tests.conftest import Deployment
 
 
@@ -16,17 +17,19 @@ def test_read_write_roundtrip(single_switch):
                                  lambda ok, v: results.append(("r", ok, v)))
     dep.run(1.0)
     assert results == [("w", True, 0x77), ("r", True, 0x77)]
-    assert dep.controller.stats.acks_received == 2
+    assert dep.controller.requests.stats.acked == 2
 
 
-def test_rct_samples_recorded(single_switch):
-    dep = single_switch
+def test_rct_samples_recorded():
+    telemetry = Telemetry(enabled=True)
+    dep = Deployment(num_switches=1, registers=[("demo", 64, 16)],
+                     telemetry=telemetry)
     dep.controller.read_register("s1", "demo", 0)
     dep.run(1.0)
-    samples = dep.controller.stats.rct_samples
-    assert len(samples) == 1
-    assert samples[0].kind == "read"
-    assert 0 < samples[0].rct_s < 0.01
+    histogram = telemetry.metrics.get("runtime_rct_seconds",
+                                      stack="P4Auth", kind="read")
+    assert histogram.count == 1
+    assert 0 < histogram.sum < 0.01
 
 
 def test_unknown_register_raises(single_switch):

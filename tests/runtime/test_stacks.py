@@ -8,10 +8,11 @@ from repro.net.simulator import EventSimulator
 from repro.runtime.harness import RunStats, run_sequential
 from repro.runtime.p4runtime import P4RuntimeStack
 from repro.runtime.plain import PlainController, PlainRegOpDataplane
+from repro.telemetry import Telemetry
 
 
-def plain_deployment():
-    sim = EventSimulator()
+def plain_deployment(telemetry=None):
+    sim = EventSimulator(telemetry=telemetry)
     net = Network(sim)
     switch = DataplaneSwitch("s1", num_ports=2)
     net.add_switch(switch)
@@ -54,14 +55,17 @@ class TestPlainStack:
                                  lambda ok, v: results.append(ok))
         sim.run(until=1.0)
         assert results == [False]
-        assert controller.nacks == 1
+        assert controller.requests.stats.nacked == 1
 
     def test_rct_samples(self):
-        sim, net, switch, controller = plain_deployment()
+        telemetry = Telemetry(enabled=True)
+        sim, net, switch, controller = plain_deployment(telemetry)
         controller.read_register("s1", "target", 0)
         sim.run(until=1.0)
-        kind, rct, ok = controller.rct_samples[0]
-        assert kind == "read" and ok and 0 < rct < 0.01
+        histogram = telemetry.metrics.get("runtime_rct_seconds",
+                                          stack="DP-Reg-RW", kind="read")
+        assert histogram.count == 1 and 0 < histogram.sum < 0.01
+        assert controller.requests.stats.acked == 1
 
 
 class TestP4RuntimeStack:
