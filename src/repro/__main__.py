@@ -1,24 +1,20 @@
-"""Command-line experiment runner: ``python -m repro``.
+"""Command-line front door: ``python -m repro``.
 
 Every paper figure, table, and chaos scenario is a registered
-:class:`~repro.engine.spec.ExperimentSpec`; the generic ``run``
-subcommand executes any of them (with sweeps, worker sharding, caching,
-and ``BENCH_<name>.json`` artifacts), while the named legacy
-subcommands print the familiar paper-style tables on top of the same
-engine.
+:class:`~repro.engine.spec.ExperimentSpec`.  ``run`` executes any of
+them (with sweeps, worker sharding, caching, optional instrumentation,
+and a ``BENCH_<name>.json`` artifact) and prints the spec's paper table;
+``report`` renders those artifacts as markdown.
 
     python -m repro                  # list every registered experiment
     python -m repro run fig17 --workers 4
     python -m repro run fig21 --sweep hops=2,6,10 --short
     python -m repro run table3 --seed 99 --out-dir results/
+    python -m repro run fig17 --short --telemetry tel/  # per-trial
+                                     # JSONL trace + Prometheus metrics
+    python -m repro run kmp-blackout --telemetry tel/   # chaos scenario;
+                                     # exit 1 if an invariant fails
     python -m repro report --dir results/   # markdown from BENCH_*.json
-    python -m repro fig16            # RouteScout defense (paper table)
-    python -m repro table2           # resource overhead (paper table)
-    python -m repro all              # every paper table
-    python -m repro telemetry fig17  # instrumented run: JSONL trace +
-                                     # Prometheus-style metrics dump
-    python -m repro chaos            # fault-injection scenarios (all)
-    python -m repro chaos kmp-blackout --seed 7 --trace-out chaos.jsonl
     python -m repro verify --all     # static analysis of every program
     python -m repro verify p4auth --format json
     python -m repro verify --selftest  # mutant battery
@@ -34,229 +30,6 @@ import sys
 from repro.analysis import format_table
 
 
-def cmd_fig16(args) -> None:
-    from repro.engine import run_experiment
-    run = run_experiment("fig16", sweep={
-        "duration_s": [args.duration],
-        "attack_start_s": [args.duration * 0.25]})
-    rows = [[t.params["mode"], f"{t.result['share_path1'] * 100:.1f}%",
-             f"{t.result['share_path2'] * 100:.1f}%",
-             t.result["epochs_skipped"], t.result["tamper_events"]]
-            for t in run.trials]
-    print(format_table(
-        ["mode", "path1", "path2", "epochs skipped", "tamper events"],
-        rows, title="Fig 16: RouteScout traffic distribution"))
-
-
-def cmd_fig17(args) -> None:
-    from repro.engine import run_experiment
-    run = run_experiment("fig17", sweep={
-        "duration_s": [min(args.duration, 10.0)]})
-    rows = [[t.params["mode"],
-             f"{t.result['shares']['s2'] * 100:.1f}%",
-             f"{t.result['shares']['s3'] * 100:.1f}%",
-             f"{t.result['shares']['s4'] * 100:.1f}%",
-             t.result["alerts"]]
-            for t in run.trials]
-    print(format_table(["mode", "via S2", "via S3", "via S4", "alerts"],
-                       rows, title="Fig 17: HULA traffic distribution"))
-
-
-def cmd_fig20(args) -> None:
-    from repro.engine import run_experiment
-    from repro.experiments.fig20_kmp import OPS
-    result = run_experiment("fig20").only()
-    rows = [[op, f"{result['mean_ms'][op]:.3f}",
-             result["footprint"][op][0], result["footprint"][op][1]]
-            for op in OPS]
-    print(format_table(["operation", "RTT (ms)", "messages", "bytes"],
-                       rows, title="Fig 20: key management RTT"))
-
-
-def cmd_fig21(args) -> None:
-    from repro.engine import run_experiment
-    from repro.experiments.fig21_multihop import curve_from_trials
-    run = run_experiment("fig21", sweep={"num_probes": [30]})
-    rows = [[r["hops"], f"{r['base_us']:.1f}", f"{r['p4auth_us']:.1f}",
-             f"{r['overhead_pct']:.2f}%"]
-            for r in curve_from_trials(run.results())]
-    print(format_table(["hops", "base (us)", "P4Auth (us)", "overhead"],
-                       rows, title="Fig 21: probe traversal vs hops"))
-
-
-def cmd_table1(args) -> None:
-    from repro.engine import run_experiment
-    run = run_experiment("table1")
-    matrix = {}
-    for trial in run.trials:
-        matrix.setdefault(trial.params["system"], {})[
-            trial.params["mode"]] = trial.result
-    rows = []
-    for system in sorted(matrix):
-        baseline, attack, p4auth = (matrix[system][mode] for mode in
-                                    ("baseline", "attack", "p4auth"))
-        rows.append([
-            system,
-            baseline["impact_metric"],
-            f"{baseline['impact_value']:.3f}",
-            f"{attack['impact_value']:.3f}",
-            f"{p4auth['impact_value']:.3f}",
-            "yes" if attack["state_poisoned"] else "no",
-            "yes" if p4auth["detected"] else "no",
-        ])
-    print(format_table(
-        ["system", "metric", "baseline", "attack", "attack+P4Auth",
-         "poisoned", "detected"],
-        rows, title="Table I: attack impact"))
-
-
-def cmd_table2(args) -> None:
-    from repro.engine import run_experiment
-    from repro.experiments.table2_resources import PROGRAM_LABELS, PROGRAMS
-    run = run_experiment("table2")
-    rows = []
-    for program in PROGRAMS:
-        report = run.result_for(program=program)
-        rows.append([PROGRAM_LABELS[program], f"{report['tcam_pct']}%",
-                     f"{report['sram_pct']}%", f"{report['hash_pct']}%",
-                     f"{report['phv_pct']}%"])
-    print(format_table(["program", "TCAM", "SRAM", "Hash Units", "PHV"],
-                       rows, title="Table II: resource overhead"))
-
-
-def cmd_table3(args) -> None:
-    from repro.engine import run_experiment
-    result = run_experiment("table3").only()
-    rows = [
-        ["init", result["init_messages"], result["formula_init_messages"],
-         result["init_bytes"], result["formula_init_bytes"]],
-        ["update", result["update_messages"],
-         result["formula_update_messages"],
-         result["update_bytes"], result["formula_update_bytes"]],
-    ]
-    print(format_table(
-        ["op", "measured msgs", "formula msgs", "measured B", "formula B"],
-        rows, title=f"Table III (live m={result['m_switches']}, "
-                    f"n={result['n_links']})"))
-
-
-def cmd_aggregation(args) -> None:
-    from repro.engine import run_experiment
-    run = run_experiment("aggregation")
-    rows = [[t.params["mode"],
-             f"{t.result['correct_chunks']}/{t.result['chunks']}",
-             f"{t.result['jct_rounds']:.2f}", t.result["alerts"]]
-            for t in run.trials]
-    print(format_table(
-        ["mode", "correct aggregates", "JCT (rounds)", "alerts"],
-        rows, title="Attack 2: in-network aggregation"))
-
-
-#: Experiments the ``telemetry`` subcommand can instrument.
-TELEMETRY_TARGETS = ("fig17", "fig18", "fig20")
-
-
-def cmd_telemetry(args) -> None:
-    """Run one experiment with telemetry enabled; dump trace + metrics."""
-    from repro.telemetry import Telemetry
-
-    target = args.target or "fig17"
-    if target not in TELEMETRY_TARGETS:
-        raise SystemExit(
-            f"telemetry target must be one of {TELEMETRY_TARGETS}")
-    tel = Telemetry(enabled=True)
-
-    if target == "fig17":
-        from repro.experiments.fig17_hula import MODES, run_hula
-        rows = []
-        for mode in MODES:
-            result = run_hula(mode, duration_s=min(args.duration, 10.0),
-                              telemetry=tel)
-            rows.append([mode,
-                         f"{result.shares['s2'] * 100:.1f}%",
-                         f"{result.shares['s3'] * 100:.1f}%",
-                         f"{result.shares['s4'] * 100:.1f}%",
-                         result.alerts])
-        print(format_table(["mode", "via S2", "via S3", "via S4", "alerts"],
-                           rows, title="Fig 17: HULA traffic distribution"))
-    elif target == "fig18":
-        from repro.runtime.comparison import measure
-        table = measure(duration_s=min(args.duration, 10.0), telemetry=tel)
-        rows = [[name, kind, stats.completed,
-                 f"{stats.mean_rct_s * 1e6:.1f}"]
-                for (name, kind), stats in sorted(table.items())]
-        print(format_table(["stack", "op", "completed", "mean RCT (us)"],
-                           rows, title="Fig 18: stack comparison"))
-    else:
-        from repro.experiments.fig20_kmp import OPS, run_kmp_rtt
-        result = run_kmp_rtt(repeats=20, telemetry=tel)
-        rows = [[op, f"{result.mean_ms(op):.3f}"] for op in OPS]
-        print(format_table(["operation", "RTT (ms)"],
-                           rows, title="Fig 20: key management RTT"))
-
-    trace_path = args.trace_out or f"telemetry-{target}.jsonl"
-    count = tel.tracer.dump(trace_path)
-    print()
-    print(tel.render_prometheus())
-    print(f"# wrote {count} trace events to {trace_path}"
-          + (f" ({tel.tracer.evicted} evicted)" if tel.tracer.evicted else ""))
-
-
-def cmd_chaos(args) -> None:
-    """Run chaos scenarios under a fixed seed; non-zero exit on failure.
-
-    A target of ``smoke`` runs the two cheapest scenarios (the CI job);
-    no target runs everything.
-    """
-    from repro.faults import SCENARIOS, SMOKE_SCENARIOS, run_scenario
-    from repro.telemetry import Telemetry
-
-    if args.target is None or args.target == "all":
-        names = sorted(SCENARIOS)
-    elif args.target == "smoke":
-        names = list(SMOKE_SCENARIOS)
-    elif args.target in SCENARIOS:
-        names = [args.target]
-    else:
-        raise SystemExit(f"unknown chaos scenario {args.target!r} "
-                         f"(have: {sorted(SCENARIOS)} + 'smoke', 'all')")
-
-    failed = False
-    for index, name in enumerate(names):
-        tel = Telemetry(enabled=True)
-        report = run_scenario(name, seed=args.seed, telemetry=tel)
-        print(report.summary())
-        if args.trace_out:
-            path = (args.trace_out if len(names) == 1
-                    else f"{name}-{args.trace_out}")
-            count = tel.tracer.dump(path)
-            print(f"  # wrote {count} trace events to {path}")
-        if index < len(names) - 1:
-            print()
-        failed = failed or not report.passed
-    if failed:
-        raise SystemExit(1)
-
-
-COMMANDS = {
-    "chaos": cmd_chaos,
-    "fig16": cmd_fig16,
-    "fig17": cmd_fig17,
-    "fig20": cmd_fig20,
-    "fig21": cmd_fig21,
-    "table1": cmd_table1,
-    "table2": cmd_table2,
-    "table3": cmd_table3,
-    "aggregation": cmd_aggregation,
-    "telemetry": cmd_telemetry,
-}
-
-#: Paper tables printed by ``python -m repro all``, in dependency-free
-#: cheap-first order.
-ALL_ORDER = ("table2", "fig20", "fig21", "table3", "fig16", "fig17",
-             "table1", "aggregation")
-
-
 def print_experiment_listing(stream=None) -> None:
     """The registry, as a table: what ``repro run <name>`` accepts."""
     from repro.engine import all_specs
@@ -269,9 +42,9 @@ def print_experiment_listing(stream=None) -> None:
                          rows, title="Registered experiments")
     print(table, file=stream)
     print("\nUsage: python -m repro run <name> [--sweep k=v1,v2] "
-          "[--workers N] [--seed N] [--short]\n"
-          "       python -m repro {list,report,serve,verify,"
-          + ",".join(sorted(COMMANDS)) + ",all}", file=stream)
+          "[--workers N] [--seed N] [--short] [--telemetry DIR]\n"
+          "       python -m repro {list,run,report,verify,serve}",
+          file=stream)
 
 
 def cmd_run(argv) -> int:
@@ -310,9 +83,11 @@ def cmd_run(argv) -> int:
     parser.add_argument("--out-dir", default=".",
                         help="where BENCH_<name>.json is written "
                              "('' to skip the artifact)")
-    parser.add_argument("--trace-dir", default=None,
-                        help="write per-trial telemetry JSONL traces here "
-                             "(specs that support telemetry only)")
+    parser.add_argument("--telemetry", default=None, metavar="DIR",
+                        help="instrument every trial; write its trace "
+                             "(<trial>.jsonl) and metrics (<trial>.prom) "
+                             "here.  Trials always execute (no cache "
+                             "hits) and their results are unchanged")
     args = parser.parse_args(argv)
 
     if args.name is None:
@@ -332,25 +107,38 @@ def cmd_run(argv) -> int:
         workers=args.workers,
         cache=ResultCache(args.cache_dir) if args.cache else None,
         out_dir=args.out_dir or None,
-        trace_dir=args.trace_dir)
+        telemetry_dir=args.telemetry)
     run = runner.run(spec, sweep=sweep, base_seed=args.seed,
                      short=args.short)
 
-    rows = []
-    for trial in run.trials:
-        scalars = {key: value for key, value in trial.result.items()
-                   if not isinstance(value, (dict, list))}
-        preview = ", ".join(f"{k}={v}" for k, v in sorted(scalars.items()))
-        rows.append([trial.id, trial.seed,
-                     preview if len(preview) <= 72 else preview[:69] + "..."])
-    print(format_table(["trial", "seed", "result"], rows,
-                       title=f"{spec.name}: {spec.title}"))
+    if spec.paper_table is not None:
+        headers, rows = spec.paper_table(
+            [trial.as_artifact_entry() for trial in run.trials])
+    else:
+        headers, rows = ["trial", "seed", "result"], []
+        for trial in run.trials:
+            scalars = {key: value for key, value in trial.result.items()
+                       if not isinstance(value, (dict, list))}
+            preview = ", ".join(f"{k}={v}"
+                                for k, v in sorted(scalars.items()))
+            rows.append([trial.id, trial.seed,
+                         preview if len(preview) <= 72
+                         else preview[:69] + "..."])
+    print(format_table(headers, rows,
+                       title=f"{spec.name}: {spec.title} ({spec.source})"))
     meta = run.run_meta
     print(f"\n# {meta['trials']} trials, {meta['executed']} executed, "
           f"{meta['cache_hits']} cached, workers={meta['workers']}, "
           f"{meta['elapsed_s']:.2f}s")
     if run.artifact_path:
         print(f"# wrote {run.artifact_path}")
+    if args.telemetry:
+        print(f"# wrote per-trial .jsonl/.prom to {args.telemetry}")
+    failed = [trial.id for trial in run.trials
+              if trial.result.get("passed") is False]
+    if failed:
+        print(f"# FAILED: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -393,39 +181,9 @@ def main(argv=None) -> int:
     if command == "serve":
         from repro.service.cli import cmd_serve
         return cmd_serve(rest)
-    if command not in COMMANDS and command != "all":
-        print(f"unknown command {command!r}\n", file=sys.stderr)
-        print_experiment_listing(sys.stderr)
-        raise SystemExit(2)
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Run P4Auth reproduction experiments.")
-    parser.add_argument("experiment",
-                        choices=sorted(COMMANDS) + ["all"],
-                        help="which paper experiment to run")
-    parser.add_argument("target", nargs="?", default=None,
-                        help="for 'telemetry': which experiment to "
-                             f"instrument {TELEMETRY_TARGETS} "
-                             "(default: fig17); for 'chaos': a scenario "
-                             "name, 'smoke', or 'all' (default)")
-    parser.add_argument("--duration", type=float, default=30.0,
-                        help="simulated duration for trace-driven "
-                             "experiments (seconds)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="for 'chaos': the fault-plan seed "
-                             "(same seed => byte-identical trace)")
-    parser.add_argument("--trace-out", default=None,
-                        help="for 'telemetry'/'chaos': JSONL trace "
-                             "output path")
-    args = parser.parse_args(argv)
-    if args.experiment == "all":
-        for name in ALL_ORDER:
-            COMMANDS[name](args)
-            print()
-    else:
-        COMMANDS[args.experiment](args)
-    return 0
+    print(f"unknown command {command!r}\n", file=sys.stderr)
+    print_experiment_listing(sys.stderr)
+    raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -1,19 +1,16 @@
-"""Markdown report generation: run every experiment, emit RESULTS.md.
+"""Markdown reports from engine artifacts (``python -m repro report``).
 
-Used by ``examples/reproduce_paper.py`` (and usable programmatically) to
-produce a single document with every reproduced table and figure next to
-the paper's claims — the artifact a reviewer would want.
-
-:func:`render_artifact_report` is the offline variant: it runs nothing,
-instead summarizing ``BENCH_*.json`` artifacts previously emitted by the
-experiment engine (``python -m repro run <name> --out-dir ...``).
+:func:`render_artifact_report` runs nothing: it summarizes the
+``BENCH_*.json`` artifacts that ``python -m repro run <name> --out-dir``
+emitted, rendering each spec's paper table where it has one.
+``examples/reproduce_paper.py`` builds RESULTS.md this way.
 """
 
 from __future__ import annotations
 
 import io
 import os
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 
 class MarkdownReport:
@@ -79,15 +76,33 @@ def _render_regions_detail(report: MarkdownReport, trial: Dict) -> None:
         for row in detail])
 
 
+def _scalar_table(trials: List[Dict]):
+    """Every trial's scalar result fields, one row per trial."""
+    scalar_keys = sorted({
+        key for trial in trials
+        for key, value in trial["result"].items()
+        if isinstance(value, (int, float, str, bool))})
+    rows = []
+    for trial in trials:
+        row: List[object] = [f"`{trial['id']}`", trial["seed"]]
+        for key in scalar_keys:
+            value = trial["result"].get(key, "")
+            row.append(f"{value:.4g}" if isinstance(value, float)
+                       else value)
+        rows.append(row)
+    return ["trial", "seed"] + scalar_keys, rows
+
+
 def render_artifact_report(directory: str = ".") -> str:
     """Markdown summary of the ``BENCH_*.json`` artifacts in a directory.
 
     Each artifact becomes one section: provenance line (source, schema,
-    spec version, seeding policy, run metadata) plus a table of every
-    trial's scalar result fields.  A result's ``regions_detail`` axis (a
-    list of per-region row dicts, emitted by the region-sharded
-    experiments) is rendered as a sub-table per trial; other nested
-    lists/dicts are elided — the JSON itself remains the full record.
+    spec version, seeding policy, run metadata) plus the spec's paper
+    table, or, for a spec without one, a table of every trial's scalar
+    result fields.  A result's ``regions_detail`` axis (a list of
+    per-region row dicts, emitted by the region-sharded experiments) is
+    rendered as a sub-table per trial; other nested lists/dicts are
+    elided — the JSON itself remains the full record.
 
     Files that fail to parse or validate against the artifact schema are
     skipped and listed in a trailing "Skipped artifacts" section — one
@@ -96,6 +111,10 @@ def render_artifact_report(directory: str = ".") -> str:
     import json
 
     from repro.engine.artifact import load_artifact
+    from repro.engine.registry import all_specs
+
+    paper_tables = {spec.name: spec.paper_table for spec in all_specs()
+                    if spec.paper_table is not None}
 
     report = MarkdownReport("P4Auth reproduction — benchmark artifacts")
     paths = find_artifacts(directory)
@@ -124,19 +143,10 @@ def render_artifact_report(directory: str = ".") -> str:
             f"workers={meta.get('workers', 1)} · "
             f"cache hits {meta.get('cache_hits', 0)} · "
             f"{meta.get('elapsed_s', 0.0)}s")
-        scalar_keys = sorted({
-            key for trial in doc["trials"]
-            for key, value in trial["result"].items()
-            if isinstance(value, (int, float, str, bool))})
-        rows = []
-        for trial in doc["trials"]:
-            row: List[object] = [f"`{trial['id']}`", trial["seed"]]
-            for key in scalar_keys:
-                value = trial["result"].get(key, "")
-                row.append(f"{value:.4g}" if isinstance(value, float)
-                           else value)
-            rows.append(row)
-        report.table(["trial", "seed"] + scalar_keys, rows)
+        if doc["experiment"] in paper_tables:
+            report.table(*paper_tables[doc["experiment"]](doc["trials"]))
+        else:
+            report.table(*_scalar_table(doc["trials"]))
         for trial in doc["trials"]:
             _render_regions_detail(report, trial)
     if skipped:
@@ -146,188 +156,3 @@ def render_artifact_report(directory: str = ".") -> str:
             "not summarized:")
         report.table(["file", "reason"], skipped)
     return report.render()
-
-
-def generate_report(fast: bool = True,
-                    progress: Optional[Callable[[str], None]] = None
-                    ) -> MarkdownReport:
-    """Run every paper experiment and assemble the results document.
-
-    ``fast`` shortens trace-driven experiments (20 s instead of 60 s);
-    ``progress`` receives a line per completed experiment.
-    """
-    def note(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    report = MarkdownReport("P4Auth reproduction — measured results")
-
-    # Table II ----------------------------------------------------------
-    from repro.core.program import baseline_program_spec, p4auth_program_spec
-    from repro.dataplane.resources import ResourceModel
-    model = ResourceModel()
-    rows = []
-    for name, spec in (("Baseline", baseline_program_spec()),
-                       ("With P4Auth", p4auth_program_spec())):
-        resource = model.report(spec)
-        rows.append([name, f"{resource.tcam_pct}%", f"{resource.sram_pct}%",
-                     f"{resource.hash_pct}%", f"{resource.phv_pct}%"])
-    report.section("Table II — hardware resource overhead")
-    report.table(["program", "TCAM", "SRAM", "Hash Units", "PHV"], rows)
-    note("table2 done")
-
-    # Fig 20 -------------------------------------------------------------
-    from repro.experiments.fig20_kmp import OPS, run_kmp_rtt
-    kmp = run_kmp_rtt(repeats=10)
-    report.section("Fig 20 — key management RTT")
-    report.table(
-        ["operation", "RTT (ms)", "messages", "bytes"],
-        [[op, f"{kmp.mean_ms(op):.3f}", kmp.footprint[op][0],
-          kmp.footprint[op][1]] for op in OPS])
-    note("fig20 done")
-
-    # Fig 21 -------------------------------------------------------------
-    from repro.experiments.fig21_multihop import overhead_curve
-    curve = overhead_curve(num_probes=20 if fast else 50)
-    report.section("Fig 21 — probe traversal overhead vs hops")
-    report.table(
-        ["hops", "base (us)", "with P4Auth (us)", "overhead"],
-        [[r["hops"], f"{r['base_us']:.1f}", f"{r['p4auth_us']:.1f}",
-          f"{r['overhead_pct']:.2f}%"] for r in curve])
-    note("fig21 done")
-
-    # Fig 18 / 19 ---------------------------------------------------------
-    from repro.runtime.comparison import STACKS, measure
-    table = measure(duration_s=5.0 if fast else 10.0)
-    report.section("Fig 18/19 — register R/W RCT and throughput")
-    report.table(
-        ["stack", "read RCT (us)", "write RCT (us)", "read (req/s)",
-         "write (req/s)"],
-        [[name,
-          f"{table[(name, 'read')].mean_rct_s * 1e6:.1f}",
-          f"{table[(name, 'write')].mean_rct_s * 1e6:.1f}",
-          f"{table[(name, 'read')].throughput_rps:.0f}",
-          f"{table[(name, 'write')].throughput_rps:.0f}"]
-         for name in STACKS])
-    note("fig18/19 done")
-
-    # Fig 16 -------------------------------------------------------------
-    from repro.experiments.fig16_routescout import MODES as RS_MODES
-    from repro.experiments.fig16_routescout import run_routescout
-    duration = 20.0 if fast else 60.0
-    report.section("Fig 16 — RouteScout traffic distribution")
-    report.table(
-        ["mode", "path1", "path2", "epochs skipped", "tamper events"],
-        [[mode,
-          f"{r.share_path1 * 100:.1f}%", f"{r.share_path2 * 100:.1f}%",
-          r.epochs_skipped, r.tamper_events]
-         for mode, r in ((m, run_routescout(m, duration_s=duration,
-                                            attack_start_s=duration * 0.3))
-                         for m in RS_MODES)])
-    note("fig16 done")
-
-    # Fig 17 -------------------------------------------------------------
-    from repro.experiments.fig17_hula import MODES as HULA_MODES
-    from repro.experiments.fig17_hula import run_hula
-    report.section("Fig 17 — HULA traffic distribution")
-    report.table(
-        ["mode", "via S2", "via S3", "via S4", "alerts"],
-        [[mode,
-          f"{r.shares['s2'] * 100:.1f}%", f"{r.shares['s3'] * 100:.1f}%",
-          f"{r.shares['s4'] * 100:.1f}%", r.alerts]
-         for mode, r in ((m, run_hula(m, duration_s=3.0 if fast else 5.0))
-                         for m in HULA_MODES)])
-    note("fig17 done")
-
-    # Table I -------------------------------------------------------------
-    from repro.experiments.table1_impact import run_table1
-    matrix = run_table1().matrix
-    report.section("Table I — attack impact per system class")
-    report.table(
-        ["system", "metric", "baseline", "attack", "attack+P4Auth",
-         "detected"],
-        [[system, by_mode["baseline"].impact_metric,
-          f"{by_mode['baseline'].impact_value:.2f}",
-          f"{by_mode['attack'].impact_value:.2f}",
-          f"{by_mode['p4auth'].impact_value:.2f}",
-          "yes" if by_mode["p4auth"].detected else "no"]
-         for system, by_mode in matrix.items()])
-    note("table1 done")
-
-    # Table III ------------------------------------------------------------
-    from repro.experiments.table3_scalability import run_table3
-    scal = run_table3()
-    report.section("Table III — KMP scalability (live 25-switch network)")
-    report.table(
-        ["operation", "messages", "bytes"],
-        [["key initialization", scal.init_messages, scal.init_bytes],
-         ["key update", scal.update_messages, scal.update_bytes]])
-    report.paragraph(
-        f"Parallel bootstrap: {scal.parallel_init_time_s * 1e3:.1f} ms; "
-        f"serial lower bound: {scal.serial_init_time_s * 1e3:.0f} ms "
-        "(paper estimates ~150 ms serial).")
-    note("table3 done")
-
-    # Extensions -----------------------------------------------------------
-    from repro.experiments.attack2_aggregation import run_aggregation
-    from repro.experiments.int_manipulation import run_int_manipulation
-    report.section("Extensions — Attack 2 (aggregation) and secINT")
-    agg_rows = []
-    for mode in ("baseline", "attack", "p4auth"):
-        result = run_aggregation(mode, chunks=20)
-        agg_rows.append([f"aggregation/{mode}",
-                         f"{result.correct_chunks}/{result.chunks} correct",
-                         f"JCT {result.jct_rounds:.2f}",
-                         result.alerts])
-    for mode in ("baseline", "attack", "p4auth"):
-        result = run_int_manipulation(mode, num_probes=20)
-        agg_rows.append([f"int/{mode}",
-                         f"max hop {result.reported_max_hop_latency_us} us",
-                         "aware" if result.detected else "blind",
-                         result.alerts])
-    report.table(["scenario", "outcome", "detail", "alerts"], agg_rows)
-    note("extensions done")
-
-    # Observability ---------------------------------------------------------
-    from repro.telemetry import Telemetry
-    tel = Telemetry(enabled=True)
-    run_hula("p4auth", duration_s=2.0 if fast else 5.0, telemetry=tel)
-    registry = tel.metrics
-    report.section(
-        "Observability — instrumented Fig 17 p4auth run",
-        "Metrics from one telemetry-enabled HULA run with the S1-S4 "
-        "tamperer active (`python -m repro telemetry fig17` reproduces "
-        "this with the full Prometheus dump and a JSONL trace).")
-
-    def rows_for(names, columns):
-        out = []
-        for metric_name in names:
-            for metric in registry.with_name(metric_name):
-                labels = dict(metric.labels)
-                out.append([labels.get(c, "-") for c in columns]
-                           + [int(metric.value)])
-        return out
-
-    report.paragraph("Digest verification outcomes:")
-    report.table(["switch", "channel", "result", "count"],
-                 rows_for(["p4auth_digest_verify_total"],
-                          ["switch", "channel", "result"]))
-
-    report.paragraph("Packet drops by reason (pipeline and network):")
-    report.table(["where", "stage", "reason", "count"],
-                 rows_for(["dataplane_drop_total"],
-                          ["switch", "stage", "reason"])
-                 + rows_for(["net_dropped_packets_total"],
-                            ["node", "stage", "reason"]))
-
-    report.paragraph("Per-link byte counters:")
-    report.table(["link", "direction", "bytes"],
-                 rows_for(["net_link_bytes_total"], ["link", "direction"]))
-
-    report.paragraph(
-        f"Trace: {tel.tracer.emitted} events emitted, "
-        f"{len(tel.tracer)} retained "
-        f"({tel.tracer.evicted} evicted by the ring buffer).")
-    note("observability done")
-
-    return report

@@ -75,11 +75,16 @@ class RunResult:
 
 
 def execute_trial(spec: ExperimentSpec, plan: TrialPlan,
-                  trace_dir: Optional[str] = None) -> Dict[str, Any]:
-    """Run one trial in-process and return its canonical result."""
+                  telemetry_dir: Optional[str] = None) -> Dict[str, Any]:
+    """Run one trial in-process and return its canonical result.
+
+    With ``telemetry_dir``, the trial runs under a live ``Telemetry`` and
+    leaves ``<trial>.jsonl`` (the trace) and ``<trial>.prom`` (the
+    metrics) there.  Instrumentation never changes the result.
+    """
     telemetry = None
-    if trace_dir is not None and spec.supports_telemetry:
-        from repro.telemetry import Telemetry
+    if telemetry_dir is not None:
+        from repro.telemetry import Telemetry, write_prometheus
         telemetry = Telemetry(enabled=True)
     fault_plan = (spec.fault_plan(plan.params, plan.seed)
                   if spec.fault_plan is not None else None)
@@ -90,17 +95,18 @@ def execute_trial(spec: ExperimentSpec, plan: TrialPlan,
         raise TypeError(f"trial for {spec.name!r} must return a mapping, "
                         f"got {type(result).__name__}")
     if telemetry is not None:
-        os.makedirs(trace_dir, exist_ok=True)
+        os.makedirs(telemetry_dir, exist_ok=True)
         safe = plan.trial_id.replace("[", ".").replace("]", "")
-        path = os.path.join(trace_dir, f"{safe}.jsonl")
-        telemetry.tracer.dump(path)
+        base = os.path.join(telemetry_dir, safe)
+        telemetry.tracer.dump(f"{base}.jsonl")
+        write_prometheus(telemetry.metrics, f"{base}.prom")
     return result
 
 
 def _worker_job(job) -> Dict[str, Any]:
     """Top-level pool target: look the spec up in this process and run."""
-    spec_name, plan, trace_dir = job
-    return execute_trial(get_spec(spec_name), plan, trace_dir)
+    spec_name, plan, telemetry_dir = job
+    return execute_trial(get_spec(spec_name), plan, telemetry_dir)
 
 
 class Runner:
@@ -109,7 +115,7 @@ class Runner:
     def __init__(self, workers: int = 1,
                  cache: Union[ResultCache, None, bool] = None,
                  out_dir: Optional[str] = None,
-                 trace_dir: Optional[str] = None):
+                 telemetry_dir: Optional[str] = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
@@ -117,7 +123,7 @@ class Runner:
             cache = ResultCache()
         self.cache = cache or None
         self.out_dir = out_dir
-        self.trace_dir = trace_dir
+        self.telemetry_dir = telemetry_dir
 
     def run(self, spec_or_name: Union[str, ExperimentSpec],
             sweep: Optional[Dict[str, Sequence[Any]]] = None,
@@ -131,8 +137,11 @@ class Runner:
         results: List[Optional[Dict[str, Any]]] = [None] * len(plans)
         pending: List[int] = []
         cache_hits = 0
+        # An instrumented run must execute every trial: a cache hit would
+        # leave no trace behind.  Its results still populate the cache.
+        lookup = self.cache is not None and self.telemetry_dir is None
         for index, plan in enumerate(plans):
-            if self.cache is not None:
+            if lookup:
                 hit = self.cache.get(plan.cache_key(spec))
                 if hit is not None:
                     results[index] = hit
@@ -145,7 +154,7 @@ class Runner:
             if self.workers == 1 or len(pending) == 1:
                 for index in pending:
                     results[index] = execute_trial(spec, plans[index],
-                                                   self.trace_dir)
+                                                   self.telemetry_dir)
             else:
                 results_in_order = self._run_pool(
                     spec, [plans[index] for index in pending])
@@ -180,7 +189,7 @@ class Runner:
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
-        jobs = [(spec.name, plan, self.trace_dir) for plan in plans]
+        jobs = [(spec.name, plan, self.telemetry_dir) for plan in plans]
         workers = min(self.workers, len(jobs))
         with ctx.Pool(processes=workers) as pool:
             # map (not imap_unordered): results come back in job order,
@@ -258,10 +267,10 @@ def run_experiment(name: str, sweep: Optional[Dict[str, Sequence]] = None,
                    short: bool = False,
                    cache: Union[ResultCache, None, bool] = None,
                    out_dir: Optional[str] = None,
-                   trace_dir: Optional[str] = None) -> RunResult:
-    """One-call convenience wrapper used by the CLI and benchmarks."""
+                   telemetry_dir: Optional[str] = None) -> RunResult:
+    """One-call convenience wrapper used by tests and benchmarks."""
     runner = Runner(workers=workers, cache=cache, out_dir=out_dir,
-                    trace_dir=trace_dir)
+                    telemetry_dir=telemetry_dir)
     return runner.run(name, sweep=sweep, base_seed=base_seed, short=short)
 
 

@@ -43,13 +43,18 @@ class TrialContext:
     params: Dict[str, Any]
     #: The trial's seed (also present in ``params`` for seeded specs).
     seed: int
-    #: A live ``Telemetry`` when per-trial trace capture is on, else None.
+    #: A live ``Telemetry`` when the run is instrumented, else None.  Trial
+    #: functions pass it to their ``EventSimulator`` or topology builder.
     telemetry: Any = None
     #: The spec's fault plan for these params (chaos specs), else None.
     fault_plan: Any = None
 
 
 TrialFn = Callable[[TrialContext], Mapping]
+#: Renders the paper's table from artifact trials (``{"id", "params",
+#: "seed", "result"}`` dicts): returns ``(headers, rows)``.
+PaperTableFn = Callable[[Sequence[Mapping[str, Any]]],
+                        Tuple[List[str], List[List[Any]]]]
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,8 @@ class ExperimentSpec:
     #: Bumped whenever the trial's result semantics change; part of the
     #: result-cache key, so stale cache entries can never be replayed.
     spec_version: int = 1
-    #: Whether the trial function threads ``ctx.telemetry`` through.
-    supports_telemetry: bool = False
+    #: Renders the paper table this spec reproduces, or None.
+    paper_table: Optional[PaperTableFn] = None
     #: Optional hook deriving a FaultPlan from (params, seed).
     fault_plan: Optional[Callable[[Mapping[str, Any], int], Any]] = None
     tags: Tuple[str, ...] = ()

@@ -5,9 +5,9 @@ adversary), runs the simulation, and returns a structured result.  Every
 module also registers an :class:`~repro.engine.spec.ExperimentSpec` with
 the engine registry, so the same measurement is reachable three ways:
 the legacy ``run_*`` function, ``repro.engine.run_experiment(name)``,
-and ``python -m repro run <name>``.  The ``benchmarks/`` suite calls
-the specs and prints paper-style tables; integration tests assert their
-shapes.
+and ``python -m repro run <name>``, which prints the spec's
+``paper_table``.  The ``benchmarks/`` suite calls the specs; integration
+tests assert their shapes.
 """
 
 from repro.experiments.fig16_routescout import RouteScoutResult, run_routescout

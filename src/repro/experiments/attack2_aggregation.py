@@ -45,11 +45,12 @@ CHUNK_SPACING_S = 0.02
 
 def run_aggregation(mode: str, chunks: int = 30, num_workers: int = 4,
                     max_retries: int = 6, seed: int = 13,
-                    tamper_probability: float = 0.5) -> AggregationJobResult:
+                    tamper_probability: float = 0.5,
+                    telemetry=None) -> AggregationJobResult:
     """Run one aggregation job and report correctness + JCT rounds."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    sim = EventSimulator()
+    sim = EventSimulator(telemetry=telemetry)
     net = Network(sim)
 
     agg_switch = DataplaneSwitch("agg", num_ports=num_workers + 1)
@@ -182,7 +183,16 @@ def _trial(ctx: TrialContext) -> AggregationJobResult:
     return run_aggregation(
         p["mode"], chunks=p["chunks"], num_workers=p["num_workers"],
         max_retries=p["max_retries"], seed=p["seed"],
-        tamper_probability=p["tamper_probability"])
+        tamper_probability=p["tamper_probability"], telemetry=ctx.telemetry)
+
+
+def paper_table(trials):
+    """Attack 2: aggregate correctness and job completion per mode."""
+    rows = [[t["params"]["mode"],
+             f"{t['result']['correct_chunks']}/{t['result']['chunks']}",
+             f"{t['result']['jct_rounds']:.2f}", t["result"]["alerts"]]
+            for t in trials]
+    return ["mode", "correct aggregates", "JCT (rounds)", "alerts"], rows
 
 
 SPEC = register(ExperimentSpec(
@@ -195,5 +205,6 @@ SPEC = register(ExperimentSpec(
               "seed": 13, "tamper_probability": 0.5},
     short={"chunks": 8},
     seed_param="seed",
+    paper_table=paper_table,
     tags=("attack", "aggregation"),
 ))

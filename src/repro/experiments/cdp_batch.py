@@ -238,7 +238,6 @@ SPEC = register(ExperimentSpec(
     short={"m": 9, "requests_per_switch": 2},
     seed_param="seed",
     spec_version=2,
-    supports_telemetry=True,
     tags=("runtime", "batching", "scalability"),
 ))
 
@@ -253,6 +252,5 @@ LOSSY_SPEC = register(ExperimentSpec(
               "request_timeout_s": 0.05, "seed": 1},
     short={"loss_rate": [0.0, 0.05]},
     seed_param="seed",
-    supports_telemetry=True,
     tags=("chaos", "batching", "runtime"),
 ))

@@ -147,7 +147,7 @@ def _check_invariants(service, written: Dict[Tuple[str, int], Set[int]]
                 f"client wrote (forged or corrupted write)")
 
 
-async def _drive(p: Dict[str, object]) -> Dict[str, object]:
+async def _drive(p: Dict[str, object], telemetry=None) -> Dict[str, object]:
     from repro.service.client import ServiceClient
     from repro.service.daemon import ControllerService, FleetConfig
 
@@ -157,7 +157,7 @@ async def _drive(p: Dict[str, object]) -> Dict[str, object]:
         max_in_flight=p["max_in_flight"],
         issue_window=p["issue_window"],
         queue_depth=p["queue_depth"],
-        seed=p["seed"]))
+        seed=p["seed"]), telemetry=telemetry)
     await service.start()
     switches = service.config.switch_names
     written: Dict[Tuple[str, int], Set[int]] = {}
@@ -215,7 +215,7 @@ def _trial(ctx: TrialContext) -> dict:
     params = dict(ctx.params)
     # The grid can ask for more shards than a short fleet has switches.
     params["shards"] = min(params["shards"], params["m"])
-    return asyncio.run(_drive(params))
+    return asyncio.run(_drive(params, ctx.telemetry))
 
 
 SPEC = register(ExperimentSpec(

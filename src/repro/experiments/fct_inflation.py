@@ -63,11 +63,11 @@ class FctResult:
 
 def run_fct(mode: str, duration_s: float = 3.0,
             probe_period_s: float = 0.005,
-            warmup_s: float = 0.5) -> FctResult:
+            warmup_s: float = 0.5, telemetry=None) -> FctResult:
     """Measure foreground delivery latency under one Fig 3 scenario."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    net, extras = hula_fig3_topology()
+    net, extras = hula_fig3_topology(telemetry=telemetry)
     sim = extras["sim"]
     for link in net.links:
         link.bandwidth_bps = LINK_BANDWIDTH_BPS
@@ -176,7 +176,7 @@ def _trial(ctx: TrialContext) -> dict:
     p = ctx.params
     result = run_fct(p["mode"], duration_s=p["duration_s"],
                      probe_period_s=p["probe_period_s"],
-                     warmup_s=p["warmup_s"])
+                     warmup_s=p["warmup_s"], telemetry=ctx.telemetry)
     # The per-packet sample list is huge and fully determined by the
     # summary stats' inputs; keep artifacts lean.
     return {

@@ -60,11 +60,12 @@ def run_routescout(mode: str, duration_s: float = 60.0, seed: int = 42,
                    flow_rate_hz: float = 40.0,
                    attack_start_s: float = 10.0,
                    max_packets_per_flow: int = 60,
-                   packet_spacing_s: float = 0.002) -> RouteScoutResult:
+                   packet_spacing_s: float = 0.002,
+                   telemetry=None) -> RouteScoutResult:
     """Run one Fig 16 scenario and report the per-path traffic shares."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    sim = EventSimulator()
+    sim = EventSimulator(telemetry=telemetry)
     net = Network(sim)
     switch = DataplaneSwitch("edge", num_ports=3, seed=seed)
     net.add_switch(switch)
@@ -157,7 +158,16 @@ def _trial(ctx: TrialContext) -> RouteScoutResult:
         p["mode"], duration_s=p["duration_s"], seed=p["seed"],
         flow_rate_hz=p["flow_rate_hz"], attack_start_s=p["attack_start_s"],
         max_packets_per_flow=p["max_packets_per_flow"],
-        packet_spacing_s=p["packet_spacing_s"])
+        packet_spacing_s=p["packet_spacing_s"], telemetry=ctx.telemetry)
+
+
+def paper_table(trials):
+    """Fig 16 as a table: per-path traffic share in the attack window."""
+    rows = [[t["params"]["mode"], f"{t['result']['share_path1'] * 100:.1f}%",
+             f"{t['result']['share_path2'] * 100:.1f}%",
+             t["result"]["epochs_skipped"], t["result"]["tamper_events"]]
+            for t in trials]
+    return ["mode", "path1", "path2", "epochs skipped", "tamper events"], rows
 
 
 SPEC = register(ExperimentSpec(
@@ -171,5 +181,6 @@ SPEC = register(ExperimentSpec(
               "packet_spacing_s": 0.002},
     short={"duration_s": 8.0, "attack_start_s": 2.0},
     seed_param="seed",
+    paper_table=paper_table,
     tags=("figure", "defense"),
 ))

@@ -149,6 +149,16 @@ def _trial(ctx: TrialContext) -> HulaResult:
         telemetry=ctx.telemetry)
 
 
+def paper_table(trials):
+    """Fig 17 as a table: S1's traffic share per uplink, after warmup."""
+    rows = [[t["params"]["mode"]]
+            + [f"{t['result']['shares'][hop] * 100:.1f}%"
+               for hop in ("s2", "s3", "s4")]
+            + [t["result"]["alerts"]]
+            for t in trials]
+    return ["mode", "via S2", "via S3", "via S4", "alerts"], rows
+
+
 SPEC = register(ExperimentSpec(
     name="fig17",
     title="HULA traffic distribution",
@@ -159,6 +169,6 @@ SPEC = register(ExperimentSpec(
               "data_period_s": 0.0002, "warmup_s": 0.5},
     short={"duration_s": 1.5},
     seed_param="seed",
-    supports_telemetry=True,
+    paper_table=paper_table,
     tags=("figure", "defense"),
 ))

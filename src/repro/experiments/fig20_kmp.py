@@ -111,6 +111,17 @@ def _trial(ctx: TrialContext) -> dict:
     }
 
 
+def paper_table(trials):
+    """Fig 20 as a table: mean RTT and wire footprint per KMP operation."""
+    rows = []
+    for trial in trials:
+        result = trial["result"]
+        rows.extend([op, f"{result['mean_ms'][op]:.3f}",
+                     result["footprint"][op][0], result["footprint"][op][1]]
+                    for op in OPS)
+    return ["operation", "RTT (ms)", "messages", "bytes"], rows
+
+
 SPEC = register(ExperimentSpec(
     name="fig20",
     title="Key management protocol RTT",
@@ -119,6 +130,6 @@ SPEC = register(ExperimentSpec(
     defaults={"repeats": 20, "seed": 3},
     short={"repeats": 3},
     seed_param="seed",
-    supports_telemetry=True,
+    paper_table=paper_table,
     tags=("figure", "kmp"),
 ))

@@ -35,12 +35,12 @@ class MultihopResult:
 
 
 def run_multihop(num_switches: int, with_p4auth: bool,
-                 num_probes: int = 50,
-                 spacing_s: float = 0.005) -> MultihopResult:
+                 num_probes: int = 50, spacing_s: float = 0.005,
+                 telemetry=None) -> MultihopResult:
     """Send probes down an ``num_switches``-hop chain; time each traversal."""
     if num_switches < 2:
         raise ValueError("the chain experiment needs at least 2 switches")
-    net, extras = linear_chain(num_switches)
+    net, extras = linear_chain(num_switches, telemetry=telemetry)
     sim = extras["sim"]
     for name, config in chain_hula_configs(num_switches).items():
         HulaDataplane(net.switch(name), config).install()
@@ -86,29 +86,15 @@ def run_multihop(num_switches: int, with_p4auth: bool,
     return result
 
 
-def overhead_curve(hop_counts=range(2, 11),
-                   num_probes: int = 50) -> List[dict]:
-    """The Fig 21 series: per-hop traversal times and P4Auth overhead %."""
-    rows = []
-    for hops in hop_counts:
-        base = run_multihop(hops, with_p4auth=False, num_probes=num_probes)
-        auth = run_multihop(hops, with_p4auth=True, num_probes=num_probes)
-        overhead = (auth.mean_traversal_s / base.mean_traversal_s - 1.0) * 100
-        rows.append({
-            "hops": hops,
-            "base_us": base.mean_traversal_s * 1e6,
-            "p4auth_us": auth.mean_traversal_s * 1e6,
-            "overhead_pct": overhead,
-        })
-    return rows
-
-
 def curve_from_trials(results) -> List[dict]:
-    """Assemble the Fig 21 series from per-(hops, with_p4auth) trial
-    dicts (the engine's canonical form of :func:`overhead_curve`)."""
+    """The Fig 21 series (per-hop traversal times and P4Auth overhead %)
+    from per-(hops, with_p4auth) trial results.  A hop count that lacks
+    either side of the pair is left out."""
     by_key = {(r["num_switches"], r["with_p4auth"]): r for r in results}
     rows = []
     for hops in sorted({k for k, _ in by_key}):
+        if (hops, False) not in by_key or (hops, True) not in by_key:
+            continue
         base = by_key[(hops, False)]
         auth = by_key[(hops, True)]
         overhead = (auth["mean_traversal_s"] / base["mean_traversal_s"]
@@ -126,13 +112,21 @@ def _trial(ctx: TrialContext) -> dict:
     p = ctx.params
     result = run_multihop(p["hops"], p["with_p4auth"],
                           num_probes=p["num_probes"],
-                          spacing_s=p["spacing_s"])
+                          spacing_s=p["spacing_s"], telemetry=ctx.telemetry)
     return {
         "num_switches": result.num_switches,
         "with_p4auth": result.with_p4auth,
         "mean_traversal_s": result.mean_traversal_s,
         "traversal_times_s": result.traversal_times_s,
     }
+
+
+def paper_table(trials):
+    """Fig 21 as a table: probe traversal time and overhead per hop count."""
+    rows = [[r["hops"], f"{r['base_us']:.1f}", f"{r['p4auth_us']:.1f}",
+             f"{r['overhead_pct']:.2f}%"]
+            for r in curve_from_trials([t["result"] for t in trials])]
+    return ["hops", "base (us)", "P4Auth (us)", "overhead"], rows
 
 
 SPEC = register(ExperimentSpec(
@@ -143,5 +137,6 @@ SPEC = register(ExperimentSpec(
     grid={"hops": list(range(2, 11)), "with_p4auth": [False, True]},
     defaults={"num_probes": 50, "spacing_s": 0.005},
     short={"hops": [2, 4], "num_probes": 10},
+    paper_table=paper_table,
     tags=("figure", "overhead"),
 ))

@@ -100,13 +100,17 @@ def _provision_p4auth(net, switches: List[str], seed: int,
 def build_fleet_deployment(m: int, regions: int, degree: int = 4,
                            seed: int = 1, max_in_flight: int = 8,
                            boundary_links_per_pair: int = 2,
+                           telemetry=None,
                            ) -> Tuple[RegionalWorld, Dict[str, object],
                                       HierarchicalKMP,
                                       Dict[str, P4AuthController]]:
-    """The lockstep multi-region P4Auth fleet (Phase B / chaos tests)."""
+    """The lockstep multi-region P4Auth fleet (Phase B / chaos tests).
+
+    ``telemetry`` instruments region 0's simulator.
+    """
     world, extras = regional_fabric(
         m, regions=regions, degree=degree, seed=seed,
-        factory=_make_factory(seed),
+        factory=_make_factory(seed), telemetry=telemetry,
         boundary_links_per_pair=boundary_links_per_pair)
     controllers: Dict[str, P4AuthController] = {}
     authorities: Dict[str, RegionalKeyAuthority] = {}
@@ -230,11 +234,12 @@ def _region_task(region_id: str, m: int, regions: int, degree: int,
     }
 
 
-def _run_boundary_phase(p: Dict[str, object]) -> Dict[str, object]:
+def _run_boundary_phase(p: Dict[str, object],
+                        telemetry=None) -> Dict[str, object]:
     """Phase B: lockstep world, coordinated rollover, invariants."""
     world, extras, hier, controllers = build_fleet_deployment(
         p["m"], p["regions"], degree=p["degree"], seed=p["seed"],
-        max_in_flight=p["max_in_flight"])
+        max_in_flight=p["max_in_flight"], telemetry=telemetry)
     bootstrap = hier.bootstrap_fleet(deadline_s=BOOTSTRAP_DEADLINE_S)
     if not bootstrap["converged"] or bootstrap["failed"]:
         raise RuntimeError(f"fleet bootstrap failed: {bootstrap}")
@@ -364,7 +369,9 @@ def _trial(ctx: TrialContext) -> dict:
 
     boundary: Optional[Dict[str, object]] = None
     if p["regions"] > 1 and p["boundary"]:
-        boundary = _run_boundary_phase(p)
+        # Only the in-process boundary phase is instrumented: Phase A
+        # regions may run in worker processes.
+        boundary = _run_boundary_phase(p, ctx.telemetry)
 
     totals = {
         "switches": sum(entry["switches"] for entry in detail),

@@ -81,10 +81,11 @@ class IntResult:
 
 def run_int_manipulation(mode: str, num_switches: int = 4,
                          num_probes: int = 40,
-                         spacing_s: float = 0.005) -> IntResult:
+                         spacing_s: float = 0.005,
+                         telemetry=None) -> IntResult:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    net, extras = linear_chain(num_switches)
+    net, extras = linear_chain(num_switches, telemetry=telemetry)
     sim = extras["sim"]
 
     # Hop 2 is congested for even flow ids (bursty congestion), healthy
@@ -162,7 +163,21 @@ def _trial(ctx: TrialContext) -> IntResult:
     p = ctx.params
     return run_int_manipulation(
         p["mode"], num_switches=p["num_switches"],
-        num_probes=p["num_probes"], spacing_s=p["spacing_s"])
+        num_probes=p["num_probes"], spacing_s=p["spacing_s"],
+        telemetry=ctx.telemetry)
+
+
+def paper_table(trials):
+    """secINT: what the collector sees of the congested hop, per mode."""
+    rows = [[t["params"]["mode"],
+             f"{t['result']['probes_collected']}/{t['result']['probes_sent']}",
+             t["result"]["reported_max_hop_latency_us"],
+             "yes" if t["result"]["congestion_visible"] else "no",
+             t["result"]["alerts"],
+             "aware" if t["result"]["detected"] else "blind"]
+            for t in trials]
+    return (["mode", "probes collected", "max hop latency (us)",
+             "congestion visible", "alerts", "operator"], rows)
 
 
 SPEC = register(ExperimentSpec(
@@ -173,5 +188,6 @@ SPEC = register(ExperimentSpec(
     grid={"mode": list(MODES)},
     defaults={"num_switches": 4, "num_probes": 40, "spacing_s": 0.005},
     short={"num_probes": 10},
+    paper_table=paper_table,
     tags=("attack", "telemetry"),
 ))

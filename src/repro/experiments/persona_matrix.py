@@ -91,15 +91,15 @@ def _fault_plan(params: Dict[str, Any], seed: int) -> FaultPlan:
 def run_persona_trial(persona_kind: str, system: str,
                       attack_rate_hz: float = 200.0,
                       duration_s: float = 3.0, load_hz: float = 120.0,
-                      seed: int = 7,
-                      spec: PersonaSpec = None) -> Dict[str, Any]:
+                      seed: int = 7, spec: PersonaSpec = None,
+                      telemetry=None) -> Dict[str, Any]:
     """One matrix cell: arm one persona against one system under load."""
     if system not in SYSTEMS:
         raise ValueError(f"system must be one of {SYSTEMS}")
     if spec is None:
         spec = PersonaSpec(kind=persona_kind, rate_hz=attack_rate_hz,
                            seed=seed)
-    sim = EventSimulator()
+    sim = EventSimulator(telemetry=telemetry)
     net = Network(sim)
     s1 = DataplaneSwitch("s1", num_ports=4, seed=seed)
     s2 = DataplaneSwitch("s2", num_ports=4, seed=seed + 1)
@@ -292,7 +292,8 @@ def _trial(ctx: TrialContext) -> Dict[str, Any]:
     return run_persona_trial(
         p["persona"], p["system"],
         attack_rate_hz=p["attack_rate_hz"], duration_s=p["duration_s"],
-        load_hz=p["load_hz"], seed=p["seed"], spec=plan.personas[0])
+        load_hz=p["load_hz"], seed=p["seed"], spec=plan.personas[0],
+        telemetry=ctx.telemetry)
 
 
 SPEC = register(ExperimentSpec(

@@ -349,7 +349,6 @@ SPEC = register(ExperimentSpec(
               "snapshot_every": None, "seed": 1},
     short={"kill_on": ["seq_advance"], "m": [9]},
     seed_param="seed",
-    supports_telemetry=True,
     tags=("chaos", "store", "recovery"),
 ))
 
@@ -363,6 +362,5 @@ OVERHEAD_SPEC = register(ExperimentSpec(
               "max_in_flight": 8, "repeats": 3, "seed": 1},
     short={"fsync": ["batch"], "m": 9, "repeats": 2},
     seed_param="seed",
-    supports_telemetry=True,
     tags=("store", "perf"),
 ))

@@ -10,7 +10,7 @@ whether the tamper was detected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.engine.registry import register
 from repro.engine.spec import ExperimentSpec, TrialContext
@@ -32,23 +32,6 @@ class TableIResult:
     matrix: Dict[str, Dict[str, TableIScenarioResult]] = field(
         default_factory=dict)
 
-    def rows(self) -> List[List[object]]:
-        out = []
-        for system, by_mode in self.matrix.items():
-            baseline = by_mode["baseline"]
-            attack = by_mode["attack"]
-            p4auth = by_mode["p4auth"]
-            out.append([
-                system,
-                baseline.impact_metric,
-                f"{baseline.impact_value:.3f}",
-                f"{attack.impact_value:.3f}",
-                f"{p4auth.impact_value:.3f}",
-                "yes" if attack.state_poisoned else "no",
-                "yes" if p4auth.detected else "no",
-            ])
-        return out
-
 
 def run_table1(systems: Dict = None) -> TableIResult:
     """Run every Table I scenario in every mode."""
@@ -59,7 +42,33 @@ def run_table1(systems: Dict = None) -> TableIResult:
 
 
 def _trial(ctx: TrialContext) -> TableIScenarioResult:
-    return SYSTEMS[ctx.params["system"]](ctx.params["mode"])
+    return SYSTEMS[ctx.params["system"]](ctx.params["mode"],
+                                         telemetry=ctx.telemetry)
+
+
+def paper_table(trials):
+    """Table I: each system's metric without, under, and despite attack."""
+    matrix: Dict[str, Dict[str, dict]] = {}
+    for trial in trials:
+        matrix.setdefault(trial["params"]["system"], {})[
+            trial["params"]["mode"]] = trial["result"]
+    rows = []
+    for system in sorted(matrix):
+        by_mode = matrix[system]
+        if any(mode not in by_mode for mode in MODES):
+            continue
+        baseline, attack, p4auth = (by_mode[mode] for mode in MODES)
+        rows.append([
+            system,
+            baseline["impact_metric"],
+            f"{baseline['impact_value']:.3f}",
+            f"{attack['impact_value']:.3f}",
+            f"{p4auth['impact_value']:.3f}",
+            "yes" if attack["state_poisoned"] else "no",
+            "yes" if p4auth["detected"] else "no",
+        ])
+    return (["system", "metric", "baseline", "attack", "attack+P4Auth",
+             "poisoned", "detected"], rows)
 
 
 SPEC = register(ExperimentSpec(
@@ -68,5 +77,6 @@ SPEC = register(ExperimentSpec(
     source="Table I",
     trial=_trial,
     grid={"system": sorted(SYSTEMS), "mode": list(MODES)},
+    paper_table=paper_table,
     tags=("table", "impact"),
 ))

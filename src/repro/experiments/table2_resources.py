@@ -3,9 +3,7 @@
 Compiles the declarative :class:`~repro.dataplane.resources.ProgramSpec`
 inventories for the baseline L3 program and the P4Auth-augmented one
 through the Tofino-calibrated :class:`~repro.dataplane.resources.ResourceModel`
-and reports the utilization percentages the paper tabulates.  This used
-to live inline in ``__main__``/``analysis.report``; as a module it is a
-first-class experiment like every other table.
+and reports the utilization percentages the paper tabulates.
 """
 
 from __future__ import annotations
@@ -40,11 +38,21 @@ def _trial(ctx: TrialContext) -> ResourceReport:
     return run_table2(ctx.params["program"])
 
 
+def paper_table(trials):
+    """Table II: Tofino resource utilization per program variant."""
+    rows = [[PROGRAM_LABELS[t["params"]["program"]]]
+            + [f"{t['result'][key]}%"
+               for key in ("tcam_pct", "sram_pct", "hash_pct", "phv_pct")]
+            for t in trials]
+    return ["program", "TCAM", "SRAM", "Hash Units", "PHV"], rows
+
+
 SPEC = register(ExperimentSpec(
     name="table2",
     title="Hardware resource overhead",
     source="Table II",
     trial=_trial,
     grid={"program": list(PROGRAMS)},
+    paper_table=paper_table,
     tags=("table", "resources"),
 ))

@@ -57,7 +57,7 @@ def formulas(m: int, n: int) -> Dict[str, int]:
 
 
 def build_regular_network(m: int = 25, degree: int = 4,
-                          seed: int = 1) -> tuple:
+                          seed: int = 1, telemetry=None) -> tuple:
     """An m-switch P4Auth deployment on the shared random-regular fabric
     (m=25, d=4 gives exactly the paper's n=50 links)."""
 
@@ -65,7 +65,8 @@ def build_regular_network(m: int = 25, degree: int = 4,
         node = int(name[2:])  # fabric names switches "sw<i>"
         return DataplaneSwitch(name, num_ports=num_ports, seed=seed + node)
 
-    net, extras = random_regular_fabric(m, degree, seed, factory=factory)
+    net, extras = random_regular_fabric(m, degree, seed, factory=factory,
+                                        telemetry=telemetry)
     sim, graph = extras["sim"], extras["graph"]
     controller = P4AuthController(net)
     for name in extras["switches"]:
@@ -76,9 +77,11 @@ def build_regular_network(m: int = 25, degree: int = 4,
     return sim, net, controller, graph
 
 
-def run_table3(m: int = 25, degree: int = 4, seed: int = 1) -> ScalabilityResult:
+def run_table3(m: int = 25, degree: int = 4, seed: int = 1,
+               telemetry=None) -> ScalabilityResult:
     """Bootstrap and roll every key on a live m-switch network; count."""
-    sim, net, controller, graph = build_regular_network(m, degree, seed)
+    sim, net, controller, graph = build_regular_network(m, degree, seed,
+                                                        telemetry)
     n = graph.number_of_edges()
     kmp = controller.kmp
 
@@ -159,7 +162,7 @@ def run_multidomain(total_switches: int = 200, domains: int = 8,
 
 
 def run_table3_regional(m: int, regions: int, degree: int = 4,
-                        seed: int = 1) -> Dict[str, object]:
+                        seed: int = 1, telemetry=None) -> Dict[str, object]:
     """Table III counts on a region-sharded fleet (the ROADMAP-3 shape).
 
     Each region is its own controller + KMP subtree under a
@@ -174,7 +177,7 @@ def run_table3_regional(m: int, regions: int, degree: int = 4,
     from repro.experiments.fleet_scale import build_fleet_deployment
 
     world, extras, hier, controllers = build_fleet_deployment(
-        m, regions, degree=degree, seed=seed)
+        m, regions, degree=degree, seed=seed, telemetry=telemetry)
     bootstrap = hier.bootstrap_fleet(deadline_s=30.0)
     if not bootstrap["converged"] or bootstrap["failed"]:
         raise RuntimeError(f"regional bootstrap failed: {bootstrap}")
@@ -227,8 +230,29 @@ def _trial(ctx: TrialContext):
     p = ctx.params
     if p.get("regions", 1) > 1:
         return run_table3_regional(m=p["m"], regions=p["regions"],
-                                   degree=p["degree"], seed=p["seed"])
-    return run_table3(m=p["m"], degree=p["degree"], seed=p["seed"])
+                                   degree=p["degree"], seed=p["seed"],
+                                   telemetry=ctx.telemetry)
+    return run_table3(m=p["m"], degree=p["degree"], seed=p["seed"],
+                      telemetry=ctx.telemetry)
+
+
+def paper_table(trials):
+    """Table III: live KMP message/byte counts beside the paper formulas.
+
+    A regional trial reports fleet totals; the formulas are linear in
+    (m, n), so the fleet's formula figures are the per-region sums.
+    """
+    rows = []
+    for trial in trials:
+        counts = trial["result"].get("totals", trial["result"])
+        m, n = counts["m_switches"], counts["n_links"]
+        expected = formulas(m, n)
+        for op in ("init", "update"):
+            rows.append([m, n, op, counts[f"{op}_messages"],
+                         expected[f"{op}_messages"], counts[f"{op}_bytes"],
+                         expected[f"{op}_bytes"]])
+    return (["m", "n", "op", "measured msgs", "formula msgs", "measured B",
+             "formula B"], rows)
 
 
 SPEC = register(ExperimentSpec(
@@ -240,5 +264,6 @@ SPEC = register(ExperimentSpec(
     short={"m": 9},
     seed_param="seed",
     spec_version=2,
+    paper_table=paper_table,
     tags=("table", "kmp", "scalability"),
 ))

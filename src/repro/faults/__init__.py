@@ -16,7 +16,8 @@ them:
   or virtual time) driving the ``controller_crash_recovery`` experiment;
 - :mod:`repro.faults.scenarios` — :class:`ChaosScenario` runners that
   replay Fig 17/20-style workloads under a plan and assert the paper's
-  invariants still hold (``python -m repro chaos``).
+  invariants still hold (``python -m repro run <scenario>``, which exits
+  1 when an invariant fails).
 
 Determinism contract: all randomness flows from ``FaultPlan.seed``
 through per-fault forked PRNGs, so a chaos run — including its telemetry

@@ -519,7 +519,6 @@ def _register_chaos_specs() -> Dict[str, ExperimentSpec]:
             defaults={"scenario": scenario.name, "seed": 1,
                       "duration_s": scenario.default_duration_s},
             seed_param="seed",
-            supports_telemetry=True,
             fault_plan=fault_plan,
             tags=("chaos",),
         ))

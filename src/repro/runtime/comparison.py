@@ -139,6 +139,23 @@ def _trial(ctx: TrialContext) -> dict:
                          include_samples=p["include_samples"])
 
 
+def paper_table(trials):
+    """Fig 18/19: mean RCT and throughput per stack, reads and writes."""
+    by_key = {(t["params"]["stack"], t["params"]["kind"]): t["result"]
+              for t in trials}
+    rows = []
+    for name in STACKS:
+        if (name, "read") not in by_key or (name, "write") not in by_key:
+            continue
+        read, write = by_key[(name, "read")], by_key[(name, "write")]
+        rows.append([name, f"{read['mean_rct_s'] * 1e6:.1f}",
+                     f"{write['mean_rct_s'] * 1e6:.1f}",
+                     f"{read['throughput_rps']:.0f}",
+                     f"{write['throughput_rps']:.0f}"])
+    return (["stack", "read RCT (us)", "write RCT (us)", "read (req/s)",
+             "write (req/s)"], rows)
+
+
 def _comparison_spec(name: str, title: str, source: str) -> ExperimentSpec:
     # Fig 18 (RCT) and Fig 19 (throughput) are two views of the same
     # sequential workload; both are registered so each figure is
@@ -152,7 +169,7 @@ def _comparison_spec(name: str, title: str, source: str) -> ExperimentSpec:
         defaults={"duration_s": 10.0, "jitter_fraction": 0.0,
                   "include_samples": False},
         short={"duration_s": 1.0},
-        supports_telemetry=True,
+        paper_table=paper_table,
         tags=("figure", "runtime"),
     )
 

@@ -176,6 +176,9 @@ class ControllerService:
                 fsync=config.fsync,
                 snapshot_every=config.snapshot_every,
                 metrics=self.telemetry.metrics,
+                # A caller-supplied telemetry also traces the first
+                # shard's simulator: one tracer follows one clock.
+                telemetry=telemetry if index == 0 else None,
             )
             for index, shard_id in enumerate(config.shard_ids)
         }

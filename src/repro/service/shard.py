@@ -177,7 +177,7 @@ class ShardWorker:
                  queue_depth: int = 1024, step_s: float = 0.002,
                  state_dir: Optional[str] = None, fsync: str = "batch",
                  snapshot_every: Optional[int] = 256,
-                 metrics=None):
+                 metrics=None, telemetry=None):
         if issue_window < 1:
             raise ValueError("issue_window must be >= 1")
         if queue_depth < 1:
@@ -195,6 +195,8 @@ class ShardWorker:
         self.state_dir = state_dir
         self.fsync = fsync
         self.snapshot_every = snapshot_every
+        #: Instruments this shard's simulator (None: un-instrumented).
+        self.telemetry = telemetry
         self.recorder = None
         self.recovery_report = None
         self.recovered = False
@@ -210,9 +212,9 @@ class ShardWorker:
         self._draining = False
         self._task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
-        # Per-shard service metrics live in the *service* registry (the
-        # shard sims deliberately stay un-instrumented so N virtual
-        # clocks never fight over one tracer).  The journal/snapshot
+        # Per-shard service metrics live in the *service* registry (at
+        # most one shard sim is instrumented, so N virtual clocks never
+        # fight over one tracer).  The journal/snapshot
         # stores share that registry: their metrics are wall-clock
         # host-side observations, not simulated time.
         self._metrics = metrics if metrics is not None and metrics.enabled \
@@ -265,7 +267,8 @@ class ShardWorker:
         warm = durable and store_exists(self.state_dir)
         self.sim, self.net, self.stack, self.dataplanes = build_shard_stack(
             self.stack_name, self.switches, self.seed, self.registers,
-            self.issue_window, bootstrap=not warm)
+            self.issue_window, telemetry=self.telemetry,
+            bootstrap=not warm)
         self.batch = BatchController(self.stack,
                                      max_in_flight=self.max_in_flight)
         if self.stack_name == "P4Auth":

@@ -84,10 +84,11 @@ class BlinkDataplane:
 def run_scenario(mode: str, duration_s: float = 10.0,
                  packet_period_s: float = 0.01,
                  fail_at_s: float = 2.0,
-                 controller_update_at_s: float = 4.0) -> TableIScenarioResult:
+                 controller_update_at_s: float = 4.0,
+                 telemetry=None) -> TableIScenarioResult:
     """Table I row "FRR / Blink": poisoning of fast rerouting decisions."""
     check_mode(mode)
-    sim = EventSimulator()
+    sim = EventSimulator(telemetry=telemetry)
     net = Network(sim)
     switch = DataplaneSwitch("s1", num_ports=4)
     net.add_switch(switch)

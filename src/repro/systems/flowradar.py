@@ -71,10 +71,11 @@ def _collect_cells(client, sim, switch_name: str,
     return filled, failed
 
 
-def run_scenario(mode: str, seed: int = 5) -> TableIScenarioResult:
+def run_scenario(mode: str, seed: int = 5,
+                 telemetry=None) -> TableIScenarioResult:
     """Table I row "Measurement / FlowRadar": poison loss analysis."""
     check_mode(mode)
-    sim = EventSimulator()
+    sim = EventSimulator(telemetry=telemetry)
     net = Network(sim)
     switch = DataplaneSwitch("s1", num_ports=2)
     net.add_switch(switch)

@@ -84,10 +84,10 @@ def zipf_key(prng: XorShiftPrng, key_space: int = KEY_SPACE,
 
 def run_scenario(mode: str, queries: int = 4000,
                  query_period_s: float = 0.001,
-                 epochs: int = 4) -> TableIScenarioResult:
+                 epochs: int = 4, telemetry=None) -> TableIScenarioResult:
     """Table I row "In-network cache / NetCache"."""
     check_mode(mode)
-    sim = EventSimulator()
+    sim = EventSimulator(telemetry=telemetry)
     net = Network(sim)
     switch = DataplaneSwitch("s1", num_ports=2)
     net.add_switch(switch)

@@ -89,10 +89,10 @@ class NetWardenDataplane:
 
 
 def run_scenario(mode: str, packets_per_conn: int = 40,
-                 seed: int = 9) -> TableIScenarioResult:
+                 seed: int = 9, telemetry=None) -> TableIScenarioResult:
     """Table I row "IDS-IPS / NetWarden": evasion of detection."""
     check_mode(mode)
-    sim = EventSimulator()
+    sim = EventSimulator(telemetry=telemetry)
     net = Network(sim)
     switch = DataplaneSwitch("s1", num_ports=2)
     net.add_switch(switch)

@@ -93,10 +93,11 @@ class SilkRoadDataplane:
 
 
 def run_scenario(mode: str, pending_flows: int = 40,
-                 packets_per_flow: int = 5) -> TableIScenarioResult:
+                 packets_per_flow: int = 5,
+                 telemetry=None) -> TableIScenarioResult:
     """Table I row "LB / SilkRoad": wrong DIP during load balancing."""
     check_mode(mode)
-    sim = EventSimulator()
+    sim = EventSimulator(telemetry=telemetry)
     net = Network(sim)
     switch = DataplaneSwitch("s1", num_ports=2)
     net.add_switch(switch)

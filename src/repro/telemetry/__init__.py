@@ -46,7 +46,11 @@ from repro.telemetry.tracer import (
     TraceEvent,
     Tracer,
 )
-from repro.telemetry.exporters import render_prometheus, write_jsonl
+from repro.telemetry.exporters import (
+    render_prometheus,
+    write_jsonl,
+    write_prometheus,
+)
 
 #: Buckets for wall-clock profiling spans (seconds of host time).
 PROFILE_BUCKETS: Tuple[float, ...] = (
@@ -116,4 +120,5 @@ __all__ = [
     "Tracer",
     "render_prometheus",
     "write_jsonl",
+    "write_prometheus",
 ]

@@ -6,7 +6,29 @@ import os
 import pytest
 
 from repro.__main__ import main
-from repro.engine import load_artifact, validate_artifact
+from repro.engine import (
+    ExperimentSpec,
+    all_specs,
+    load_artifact,
+    register,
+    unregister,
+    validate_artifact,
+)
+
+#: The specs that reproduce a paper figure or table.
+PAPER_TABLE_SPECS = {"fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
+                     "table1", "table2", "table3", "aggregation", "int"}
+
+
+def _failing_trial(ctx):
+    return {"passed": ctx.params["index"] != 1}
+
+
+def _prom_value(text, name):
+    for line in text.splitlines():
+        if line.startswith(name + " "):
+            return float(line.split()[1])
+    return 0.0
 
 
 class TestListing:
@@ -93,12 +115,56 @@ class TestRun:
         second = capsys.readouterr().out
         assert "0 executed, 2 cached" in second
 
+    def test_run_prints_the_paper_table(self, capsys):
+        assert main(["run", "table2", "--out-dir", ""]) == 0
+        out = capsys.readouterr().out
+        assert "Hash Units" in out and "With P4Auth" in out
+        assert "51.4%" in out
+
+    def test_run_exits_1_when_a_trial_fails(self, capsys):
+        """A chaos invariant failure (``passed: false`` in any trial)
+        must fail the command, or CI smoke cells can never go red."""
+        register(ExperimentSpec(name="_test-fails", title="fails",
+                                source="test", trial=_failing_trial,
+                                grid={"index": [0, 1]}))
+        try:
+            assert main(["run", "_test-fails", "--out-dir", ""]) == 1
+        finally:
+            unregister("_test-fails")
+        assert "_test-fails[index=1]" in capsys.readouterr().err
+
     def test_run_base_seed_recorded_in_artifact(self, tmp_path):
         assert main(["run", "table3", "--short", "--seed", "9",
                      "--out-dir", str(tmp_path)]) == 0
         doc = load_artifact(str(tmp_path / "BENCH_table3.json"))
         assert doc["base_seed"] == 9
         assert doc["trials"][0]["seed"] == doc["trials"][0]["params"]["seed"]
+
+
+class TestTelemetry:
+    @pytest.mark.parametrize("name", ["table3", "fig21", "aggregation",
+                                      "int"])
+    def test_instrumented_run_keeps_payload(self, name, tmp_path, capsys):
+        """``--telemetry`` instruments every spec's simulator and never
+        changes what the trial computes."""
+        plain, traced, tel = (tmp_path / "plain", tmp_path / "traced",
+                              tmp_path / "tel")
+        assert main(["run", name, "--short", "--out-dir", str(plain)]) == 0
+        assert main(["run", name, "--short", "--out-dir", str(traced),
+                     "--telemetry", str(tel)]) == 0
+        artifact = f"BENCH_{name}.json"
+        docs = [load_artifact(str(d / artifact)) for d in (plain, traced)]
+        for doc in docs:
+            doc.pop("run_meta")
+        assert docs[0] == docs[1]
+        proms = sorted(tel.glob("*.prom"))
+        assert len(proms) == len(docs[0]["trials"])
+        for prom in proms:
+            assert _prom_value(prom.read_text(),
+                               "repro_sim_events_executed_total") > 0
+        # Baseline trials may trace nothing (no drops, no key exchange);
+        # the spec as a whole always does.
+        assert any(trace.stat().st_size > 0 for trace in tel.glob("*.jsonl"))
 
 
 class TestReport:
@@ -109,6 +175,18 @@ class TestReport:
         out = capsys.readouterr().out
         assert "table2 — Hardware resource overhead" in out
         assert "51.4" in out
+
+    def test_report_renders_the_paper_table(self, tmp_path, capsys):
+        assert main(["run", "fig21", "--short", "--out-dir",
+                     str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "| hops | base (us) | P4Auth (us) | overhead |" in out
+
+    def test_paper_tables_cover_every_paper_result(self):
+        assert {spec.name for spec in all_specs()
+                if spec.paper_table is not None} == PAPER_TABLE_SPECS
 
     def test_report_to_file(self, tmp_path, capsys):
         assert main(["run", "table2", "--out-dir", str(tmp_path)]) == 0

@@ -5,7 +5,6 @@ forked worker processes (which inherit this module) can look them up.
 """
 
 import json
-import os
 import time
 
 import pytest
@@ -26,6 +25,15 @@ from repro.engine import (
 )
 
 _EXECUTIONS = []  # in-process only: counts serial executions
+
+
+def _sim_trial(ctx: TrialContext) -> dict:
+    """Five events on a simulator wired to the trial's telemetry."""
+    from repro.net.simulator import EventSimulator
+    sim = EventSimulator(telemetry=ctx.telemetry)
+    for index in range(5):
+        sim.schedule(index * 0.001, lambda: None)
+    return {"events": sim.run()}
 
 
 def _prng_trial(ctx: TrialContext) -> dict:
@@ -166,15 +174,33 @@ class TestRunnerMisc:
         with pytest.raises(ValueError):
             Runner(workers=0)
 
-    def test_trace_dir_writes_per_trial_jsonl(self, tmp_path):
-        def tel_trial(ctx):
-            return {"have_telemetry": ctx.telemetry is not None}
-
+    def test_telemetry_dir_writes_per_trial_trace_and_metrics(
+            self, tmp_path):
         spec = ExperimentSpec(name="_test-tel", title="tel", source="test",
-                              trial=tel_trial, supports_telemetry=True)
-        run = Runner(trace_dir=str(tmp_path)).run(spec)
-        assert run.only() == {"have_telemetry": True}
-        assert os.path.exists(tmp_path / "_test-tel.jsonl")
+                              trial=_sim_trial)
+        run = Runner(telemetry_dir=str(tmp_path)).run(spec)
+        assert run.only() == {"events": 5}
+        assert (tmp_path / "_test-tel.jsonl").exists()
+        prom = (tmp_path / "_test-tel.prom").read_text()
+        assert "repro_sim_events_executed_total 5" in prom
+
+    def test_telemetry_run_bypasses_cache_hits(self, tmp_path):
+        """A cached result must not swallow the trial's telemetry: an
+        instrumented run executes every trial, and still fills the
+        cache for later uninstrumented runs."""
+        spec = ExperimentSpec(name="_test-tel-cache", title="tel",
+                              source="test", trial=_sim_trial)
+        cache = ResultCache(str(tmp_path / "cache"))
+        first = Runner(cache=cache).run(spec)
+        assert first.run_meta["executed"] == 1
+        traced = Runner(cache=cache,
+                        telemetry_dir=str(tmp_path / "t2")).run(spec)
+        assert traced.run_meta["executed"] == 1
+        assert traced.run_meta["cache_hits"] == 0
+        assert traced.only() == first.only()
+        assert (tmp_path / "t2" / "_test-tel-cache.prom").exists()
+        replay = Runner(cache=cache).run(spec)
+        assert replay.run_meta["cache_hits"] == 1
 
 
 class TestRegistry:

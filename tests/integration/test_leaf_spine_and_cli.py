@@ -88,13 +88,13 @@ class TestLeafSpineHula:
 class TestCli:
     def test_table2(self, capsys):
         from repro.__main__ import main
-        assert main(["table2"]) == 0
+        assert main(["run", "table2", "--out-dir", ""]) == 0
         out = capsys.readouterr().out
         assert "51.4%" in out and "Table II" in out
 
     def test_fig20(self, capsys):
         from repro.__main__ import main
-        assert main(["fig20"]) == 0
+        assert main(["run", "fig20", "--short", "--out-dir", ""]) == 0
         out = capsys.readouterr().out
         assert "local_init" in out and "port_update" in out
 

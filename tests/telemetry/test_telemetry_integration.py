@@ -96,26 +96,29 @@ def test_disabled_run_records_nothing():
     assert len(telemetry.tracer) == 0
 
 
-def test_cli_telemetry_subcommand(tmp_path, capsys):
+def test_cli_run_with_telemetry(tmp_path, capsys):
     from repro.__main__ import main
 
-    trace_path = tmp_path / "trace.jsonl"
-    exit_code = main(["telemetry", "fig17", "--duration", "1.0",
-                      "--trace-out", str(trace_path)])
-    assert exit_code == 0
-    out = capsys.readouterr().out
-    # Prometheus dump includes the acceptance-criteria metric families.
-    assert "repro_net_link_bytes_total" in out
-    assert "repro_p4auth_digest_verify_total" in out
-    assert "repro_dataplane_drop_total" in out
-    # The JSONL trace landed on disk and parses.
-    lines = trace_path.read_text().splitlines()
+    tel = tmp_path / "tel"
+    assert main(["run", "fig17", "--short", "--out-dir", "",
+                 "--telemetry", str(tel)]) == 0
+    assert "Fig 17" in capsys.readouterr().out
+    assert len(list(tel.glob("*.prom"))) == 3
+    # The p4auth trial's metrics include the acceptance-criteria families.
+    prom = (tel / "fig17.mode=p4auth.prom").read_text()
+    assert "repro_net_link_bytes_total" in prom
+    assert "repro_p4auth_digest_verify_total" in prom
+    assert "repro_dataplane_drop_total" in prom
+    # Its JSONL trace landed on disk and parses.
+    lines = (tel / "fig17.mode=p4auth.jsonl").read_text().splitlines()
     assert lines
     assert all(json.loads(line)["event"] for line in lines)
 
 
-def test_cli_telemetry_rejects_unknown_target():
+def test_cli_run_telemetry_rejects_unknown_spec(tmp_path):
     from repro.__main__ import main
 
-    with pytest.raises(SystemExit):
-        main(["telemetry", "nope"])
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "nope", "--telemetry", str(tmp_path / "tel")])
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "tel").exists()
